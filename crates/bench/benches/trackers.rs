@@ -2,11 +2,13 @@
 //! before/after comparisons for the PR 2 hot-path rewrites (flat-table PRAC vs the
 //! seed's `HashMap`, single-pass Graphene/Mithril vs the seed's multi-scan updates)
 //! and the PR 5 eviction engines (`eviction_churn/*`: linear-scan vs stream-summary
-//! victim selection on miss-heavy churn).
+//! victim selection on miss-heavy churn, at unit weight and at ImPress-P's
+//! fractional EACTs).
 
 use std::collections::HashMap;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use impress_dram::DramTimings;
 use impress_trackers::eact::EactCounter;
 use impress_trackers::graphene::GrapheneConfig;
 use impress_trackers::mithril::MithrilConfig;
@@ -175,8 +177,12 @@ fn bench_graphene_scan(c: &mut Criterion) {
 
 /// Before/after pairs for the PR 5 eviction engines on the miss-heavy churn
 /// stream (4K distinct rows, larger than any table, so after warm-up nearly
-/// every record runs the eviction path): the seed's linear scan vs the O(1)
-/// bucketed stream-summary, for both counter trackers.
+/// every record runs the eviction path): the seed's linear scan vs the
+/// bucketed stream-summary, for both counter trackers. The `*_churn_{scan,summary}`
+/// pairs feed unit EACTs, which keep counts in a few buckets; the
+/// `*_churn_fractional_*` pairs feed ImPress-P's spread EACTs at 7 fractional
+/// bits, which give nearly every counter a bucket of its own and so exercise
+/// the summary's position lookups over long bucket lists.
 fn bench_eviction_churn(c: &mut Criterion) {
     let mut group = c.benchmark_group("eviction_churn");
     let eact = Eact::ONE;
@@ -220,6 +226,46 @@ fn bench_eviction_churn(c: &mut Criterion) {
             black_box(mithril_summary.record((i % 4096) as u32, eact, i * 128))
         });
     });
+
+    // ImPress-P EACTs, (tON + tPRE) / tRC for open times spread from tRAS to
+    // 32 tRC; a prime-length table so a row does not always draw the same EACT.
+    let t = DramTimings::ddr5();
+    let mut state = 0xe4c7_u64;
+    let eacts: Vec<Eact> = (0..1021)
+        .map(|_| {
+            let open = t.t_ras + splitmix64(&mut state) % (32 * t.t_rc - t.t_ras);
+            Eact::from_open_time(open, t.t_pre, t.t_rc, 7)
+        })
+        .collect();
+    for engine in [EvictionEngine::Scan, EvictionEngine::Summary] {
+        let trackers: [(&str, Box<dyn RowTracker>); 2] = [
+            (
+                "graphene",
+                Box::new(Graphene::with_engine(
+                    GrapheneConfig::with_frac_bits(4_000, 7),
+                    engine,
+                )),
+            ),
+            (
+                "mithril",
+                Box::new(Mithril::with_engine(
+                    MithrilConfig::for_threshold(4_000).with_frac_bits(7),
+                    engine,
+                )),
+            ),
+        ];
+        for (name, mut tracker) in trackers {
+            let id = format!("{name}_churn_fractional_{engine}");
+            group.bench_function(id.as_str(), |b| {
+                let mut i = 0u64;
+                b.iter(|| {
+                    i += 1;
+                    let eact = eacts[(i % eacts.len() as u64) as usize];
+                    black_box(tracker.record((i % 4096) as u32, eact, i * 128))
+                });
+            });
+        }
+    }
     group.finish();
 }
 

@@ -84,6 +84,10 @@ pub const COUNTER_BITS: u32 = 15;
 /// storage analysis can quote what an SRAM-pointer realization *would* cost
 /// (`3 × 9 = 27` bits/entry, ~84% of a 32-bit base entry — which is exactly why
 /// the hardware uses a CAM instead).
+///
+/// The summary's count-ordered bucket index (one bucket id per live bucket,
+/// built only after a long bucket-list walk) is likewise simulator-side only:
+/// like the links, it is neither charged as SRAM nor counted in this constant.
 pub const SUMMARY_LINK_BITS: u32 = 27;
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! O(1) min/max-count maintenance for Misra-Gries tables: the stream-summary
+//! Ordered min/max-count maintenance for Misra-Gries tables: the stream-summary
 //! eviction engine.
 //!
 //! Graphene and Mithril need three ordered queries over their counter tables that
@@ -17,19 +17,31 @@
 //! doubly-linked lists, one list per distinct count value ("bucket"), with the
 //! buckets themselves on a doubly-linked list ordered by count. The minimum lives
 //! at the head of the first bucket and the maximum at the head of the last, so
-//! insert / evict-min / mitigate-max / roll-back-to-spillover are all pointer
-//! splices:
+//! `min()`/`max()` are O(1) and insert / evict-min / mitigate-max /
+//! roll-back-to-spillover are pointer splices once the new count's position on
+//! the bucket list is known:
 //!
 //! * no allocation in steady state — bucket nodes come from a preallocated pool
 //!   sized at one node per table slot (a bucket is never empty, so the number of
 //!   live buckets cannot exceed the number of attached slots);
 //! * unit-weight increments (plain Rowhammer accounting, `frac_bits = 0`) move a
-//!   slot to an adjacent bucket, the textbook O(1) case;
-//! * fractional EACT increments walk the bucket list from the slot's current
-//!   bucket toward the insertion point, so the cost is the number of *distinct
-//!   counts* crossed — in the simulated workloads and churn streams counts
-//!   cluster tightly and the walk is O(1) amortized, and a single-occupant bucket
-//!   whose neighbours are not crossed is re-counted in place without any splice.
+//!   slot to an adjacent bucket, the textbook O(1) case, and a single-occupant
+//!   bucket whose neighbours are not crossed is re-counted in place without any
+//!   splice;
+//! * fractional EACT increments must *find* the new position, and the bucket
+//!   walk from the slot's old bucket is not O(1) amortized: ImPress-P's 7
+//!   fractional bits give nearly every counter a bucket of its own under
+//!   RowHammer×RowPress churn, and on such a trace the walk crossed ~115
+//!   buckets per position lookup (against ~1 on benign traffic). So the walk is
+//!   capped at `WALK_LIMIT` (8) steps; past that, the position comes from a
+//!   binary search over a contiguous, count-ordered index of the live buckets,
+//!   bounding a lookup at `WALK_LIMIT + ⌈log₂(buckets + 1)⌉` bucket visits (at
+//!   most 18 for Graphene's 448 entries). The index is built on the first long
+//!   walk, kept in step with one bounded rotate per bucket that dies and is
+//!   reborn, and dropped on [`CountSummary::clear`], so trackers whose walks
+//!   stay short never allocate or maintain it. It returns exactly the bucket the
+//!   walk would (the largest count ≤ the new count is unique), so bucket order
+//!   and tie-breaks do not depend on which path answered.
 //!
 //! Selecting among *tied* minima (or maxima) is where the engine deliberately
 //! diverges from the seed's scan: the scan broke ties by table order, the summary
@@ -44,6 +56,10 @@ use std::fmt;
 /// Sentinel for "no slot / no bucket".
 const NIL: u32 = u32::MAX;
 
+/// Bucket-list steps a position lookup walks from its hint before it falls back
+/// to the count-ordered bucket index.
+const WALK_LIMIT: u32 = 8;
+
 /// Which eviction implementation a Graphene/Mithril instance uses.
 ///
 /// * [`EvictionEngine::Scan`] — the seed's linear scan over the table on every
@@ -51,8 +67,8 @@ const NIL: u32 = u32::MAX;
 ///   algorithms; kept for A/B comparison in tests and `perf_report`.
 /// * [`EvictionEngine::Summary`] — the bucketed [`CountSummary`] structure;
 ///   observationally equivalent (same mitigation multiset whenever the victim
-///   choice is unambiguous, same Misra-Gries error bound always) and O(1) on the
-///   miss path.
+///   choice is unambiguous, same Misra-Gries error bound always), with O(1)
+///   victim selection and a bounded position lookup on the miss path.
 ///
 /// The process-wide default is read from the `IMPRESS_EVICTION` environment
 /// variable (`scan` or `summary`, case-insensitive; unset or unrecognized values
@@ -61,7 +77,8 @@ const NIL: u32 = u32::MAX;
 pub enum EvictionEngine {
     /// Linear-scan eviction (the seed algorithm, bit-identical).
     Scan,
-    /// Bucketed stream-summary eviction (O(1), observationally equivalent).
+    /// Bucketed stream-summary eviction (O(1) victim selection, observationally
+    /// equivalent).
     #[default]
     Summary,
 }
@@ -161,9 +178,9 @@ const DETACHED: SlotLink = SlotLink {
 };
 
 /// A stream-summary over a fixed set of table slots: every *attached* slot has a
-/// count, and the structure answers min/max queries and applies count changes in
-/// O(1) pointer splices (plus a bucket-list walk bounded by the number of distinct
-/// counts crossed).
+/// count, and the structure answers min/max queries in O(1) and applies count
+/// changes in pointer splices, after a position lookup of at most `WALK_LIMIT`
+/// bucket-list steps plus, past that, a binary search of the bucket index.
 ///
 /// The summary stores only slot ids and counts; the owning tracker keeps the
 /// authoritative `(row, counter)` table and mirrors every change into the summary.
@@ -181,6 +198,21 @@ pub struct CountSummary {
     last: u32,
     /// Number of attached slots.
     len: usize,
+    /// Live bucket ids in ascending count order: a contiguous mirror of the
+    /// bucket list that position lookups binary-search once a short walk fails.
+    /// Empty (walk mode, never maintained) until the first long walk builds it;
+    /// [`CountSummary::clear`] empties it again, keeping the capacity.
+    index: Vec<u32>,
+    /// Position in `index` of a bucket that died in the operation under way,
+    /// left in place for the birth that usually follows to reuse (`NIL` when
+    /// none; never set between public calls).
+    hole: u32,
+    /// Position lookups performed (complexity tests only).
+    #[cfg(test)]
+    lookups: u64,
+    /// Bucket nodes and index entries those lookups examined.
+    #[cfg(test)]
+    visits: u64,
 }
 
 impl CountSummary {
@@ -205,6 +237,12 @@ impl CountSummary {
             first: NIL,
             last: NIL,
             len: 0,
+            index: Vec::new(),
+            hole: NIL,
+            #[cfg(test)]
+            lookups: 0,
+            #[cfg(test)]
+            visits: 0,
         };
         summary.rebuild_free_chain();
         summary
@@ -290,8 +328,8 @@ impl CountSummary {
         } else {
             NIL
         };
-        let anchor = self.anchor(hint, count);
-        self.link_slot(anchor, slot, count);
+        let (anchor, rank) = self.anchor(hint, count);
+        self.link_slot(anchor, rank, slot, count);
         self.len += 1;
     }
 
@@ -303,6 +341,7 @@ impl CountSummary {
         let b = self.slots[slot].bucket;
         debug_assert_ne!(b, NIL, "slot {slot} detached while not attached");
         let hint = self.unlink_slot(b, slot);
+        self.close_hole();
         self.len -= 1;
         hint
     }
@@ -310,10 +349,11 @@ impl CountSummary {
     /// Changes an attached slot's count, preserving the ordering invariant.
     ///
     /// Handles increases (activation recorded) and decreases (mitigation rolled
-    /// the counter back to the spillover value) alike; the bucket-list walk starts
-    /// at the slot's current bucket, so the cost is the number of distinct counts
-    /// crossed. A slot alone in its bucket whose neighbours are not crossed is
-    /// re-counted in place with no splice at all.
+    /// the counter back to the spillover value) alike; the position lookup walks
+    /// from the slot's current bucket (or an end of the list), for at most
+    /// `WALK_LIMIT` steps before the bucket index answers. A slot alone in its
+    /// bucket whose neighbours are not crossed is re-counted in place with no
+    /// splice at all.
     #[inline]
     pub fn set_count(&mut self, slot: usize, count: u64) {
         let b = self.slots[slot].bucket;
@@ -342,8 +382,8 @@ impl CountSummary {
         } else if self.first == NIL || self.buckets[self.first as usize].count > count {
             hint = NIL;
         }
-        let anchor = self.anchor(hint, count);
-        self.link_slot(anchor, slot, count);
+        let (anchor, rank) = self.anchor(hint, count);
+        self.link_slot(anchor, rank, slot, count);
     }
 
     /// Fused evict-and-reinsert for the churn hot path: if the current minimum
@@ -378,6 +418,7 @@ impl CountSummary {
             hint = b;
         } else {
             // The minimum bucket dies: its successor becomes the new first.
+            self.mark_death(b);
             let bnext = bucket.next;
             self.first = bnext;
             if bnext != NIL {
@@ -390,12 +431,13 @@ impl CountSummary {
         }
         // Re-link at `count`; the common churn shape lands at or above the
         // current maximum, which the end-jump resolves in O(1).
-        let anchor = if self.last != NIL && self.buckets[self.last as usize].count <= count {
+        let (anchor, rank) = if self.last != NIL && self.buckets[self.last as usize].count <= count
+        {
             self.anchor(self.last, count)
         } else {
             self.anchor(hint, count)
         };
-        self.link_slot(anchor, slot, count);
+        self.link_slot(anchor, rank, slot, count);
         Some(slot)
     }
 
@@ -408,6 +450,7 @@ impl CountSummary {
         self.first = NIL;
         self.last = NIL;
         self.len = 0;
+        self.index.clear();
         self.rebuild_free_chain();
     }
 
@@ -415,46 +458,169 @@ impl CountSummary {
     /// has a larger count (insertion goes before `first`).
     ///
     /// `hint` is a live bucket id to start from (or `NIL` to start at `first`);
-    /// the walk proceeds toward the answer, so the cost is the bucket-list
-    /// distance between hint and answer.
+    /// the walk proceeds toward the answer for at most `WALK_LIMIT` steps, after
+    /// which the bucket index answers instead. The answer is unique, so both
+    /// paths return the same bucket. Returned beside it is the answer's *rank*
+    /// when the index answered — the number of index entries with a count
+    /// ≤ `count`, saving [`CountSummary::link_slot`] a second search — else `NIL`.
     #[inline]
-    fn anchor(&self, hint: u32, count: u64) -> u32 {
+    fn anchor(&mut self, hint: u32, count: u64) -> (u32, u32) {
         let mut cur = if hint == NIL { self.first } else { hint };
         if cur == NIL {
-            return NIL;
+            return (NIL, NIL);
+        }
+        #[cfg(test)]
+        {
+            self.lookups += 1;
         }
         if self.buckets[cur as usize].count <= count {
             // Walk forward while the next bucket still fits under `count`.
-            loop {
+            for _ in 0..WALK_LIMIT {
                 let next = self.buckets[cur as usize].next;
+                #[cfg(test)]
+                {
+                    self.visits += 1;
+                }
                 if next == NIL || self.buckets[next as usize].count > count {
-                    return cur;
+                    return (cur, NIL);
                 }
                 cur = next;
             }
         } else {
             // Walk backward to the first bucket that fits under `count`.
-            loop {
+            for _ in 0..WALK_LIMIT {
                 let prev = self.buckets[cur as usize].prev;
+                #[cfg(test)]
+                {
+                    self.visits += 1;
+                }
                 if prev == NIL {
-                    return NIL;
+                    return (NIL, NIL);
                 }
                 if self.buckets[prev as usize].count <= count {
-                    return prev;
+                    return (prev, NIL);
                 }
                 cur = prev;
             }
         }
+        self.indexed_anchor(count)
+    }
+
+    /// [`CountSummary::anchor`]'s answer from the bucket index, building the
+    /// index first if this is the first long walk since the last `clear`.
+    #[inline(never)]
+    fn indexed_anchor(&mut self, count: u64) -> (u32, u32) {
+        if self.index.is_empty() {
+            debug_assert_eq!(self.hole, NIL, "hole in an unbuilt index");
+            self.index.reserve_exact(self.buckets.len());
+            let mut b = self.first;
+            while b != NIL {
+                self.index.push(b);
+                b = self.buckets[b as usize].next;
+            }
+        }
+        #[cfg(test)]
+        {
+            self.visits += u64::from(usize::BITS - self.index.len().leading_zeros());
+        }
+        let buckets = &self.buckets;
+        let fits = self
+            .index
+            .partition_point(|&b| buckets[b as usize].count <= count);
+        // A hole's entry still holds its dead bucket's count, but it is never
+        // the answer: a lone slot whose new count stays between its neighbours
+        // is re-counted in place, and a dead minimum's successor is where the
+        // walk starts.
+        debug_assert!(
+            fits == 0 || (fits - 1) as u32 != self.hole,
+            "lookup landed on a dead bucket"
+        );
+        let anchor = if fits == 0 { NIL } else { self.index[fits - 1] };
+        (anchor, fits as u32)
+    }
+
+    /// Records in the bucket index (if built) that live bucket `b` is about to
+    /// die: its entry becomes the hole. Must run before `b` leaves the list.
+    #[inline]
+    fn mark_death(&mut self, b: u32) {
+        if self.index.is_empty() {
+            return;
+        }
+        debug_assert_eq!(self.hole, NIL, "two bucket deaths in one operation");
+        let bucket = self.buckets[b as usize];
+        let pos = if bucket.prev == NIL {
+            0
+        } else if bucket.next == NIL {
+            self.index.len() - 1
+        } else {
+            let buckets = &self.buckets;
+            self.index
+                .partition_point(|&x| buckets[x as usize].count < bucket.count)
+        };
+        debug_assert_eq!(self.index[pos], b, "bucket index out of step");
+        self.hole = pos as u32;
+    }
+
+    /// Drops the hole's entry from the bucket index (a death with no birth).
+    #[inline]
+    fn close_hole(&mut self) {
+        if self.hole != NIL {
+            self.index.remove(self.hole as usize);
+            self.hole = NIL;
+        }
+    }
+
+    /// Where a bucket born with `count` after live bucket `anchor` (`NIL` = new
+    /// first; `rank` as returned with it) lands in the bucket index once any hole
+    /// is filled. Must run before the new node is allocated: the allocation may
+    /// recycle the hole's node and overwrite the count a search relies on.
+    #[inline]
+    fn birth_position(&self, anchor: u32, rank: u32, count: u64) -> usize {
+        if anchor == NIL {
+            return 0;
+        }
+        let below = if rank != NIL {
+            rank as usize
+        } else if self.buckets[anchor as usize].next == NIL {
+            self.index.len()
+        } else {
+            let buckets = &self.buckets;
+            self.index
+                .partition_point(|&b| buckets[b as usize].count < count)
+        };
+        below - usize::from(self.hole != NIL && (self.hole as usize) < below)
+    }
+
+    /// Puts bucket `b` at position `pos` of the bucket index: one rotate of the
+    /// entries between the hole and `pos` when a bucket died in this operation,
+    /// else an insertion.
+    #[inline]
+    fn place_birth(&mut self, pos: usize, b: u32) {
+        if self.hole == NIL {
+            self.index.insert(pos, b);
+            return;
+        }
+        let hole = self.hole as usize;
+        if pos < hole {
+            self.index.copy_within(pos..hole, pos + 1);
+        } else if pos > hole {
+            self.index.copy_within(hole + 1..=pos, hole);
+        }
+        self.index[pos] = b;
+        self.hole = NIL;
     }
 
     /// Links `slot` with `count` after bucket `anchor` (`NIL` = before `first`),
     /// joining the anchor bucket if its count matches, else splicing in a fresh
-    /// bucket node.
+    /// bucket node. `rank` is the anchor's index rank from
+    /// [`CountSummary::anchor`] (or `NIL`).
     #[inline]
-    fn link_slot(&mut self, anchor: u32, slot: usize, count: u64) {
+    fn link_slot(&mut self, anchor: u32, rank: u32, slot: usize, count: u64) {
         let target = if anchor != NIL && self.buckets[anchor as usize].count == count {
+            self.close_hole();
             anchor
         } else {
+            let pos = (!self.index.is_empty()).then(|| self.birth_position(anchor, rank, count));
             let b = self.alloc_bucket();
             let next = if anchor == NIL {
                 self.first
@@ -476,6 +642,9 @@ impl CountSummary {
                 self.last = b;
             } else {
                 self.buckets[next as usize].prev = b;
+            }
+            if let Some(pos) = pos {
+                self.place_birth(pos, b);
             }
             b
         };
@@ -510,6 +679,7 @@ impl CountSummary {
             return b;
         }
         // Bucket emptied: splice it out of the ordered list and recycle the node.
+        self.mark_death(b);
         let bprev = self.buckets[b as usize].prev;
         let bnext = self.buckets[b as usize].next;
         if bprev != NIL {
@@ -528,7 +698,8 @@ impl CountSummary {
 
     /// Full structural validation: bucket counts strictly increasing along the
     /// list, all links mutually consistent, no empty live bucket, every attached
-    /// slot reachable exactly once, and the node pool conserved.
+    /// slot reachable exactly once, the node pool conserved, and a built bucket
+    /// index listing exactly the live buckets in list order.
     ///
     /// O(slots); intended for tests and debug assertions, not hot paths.
     ///
@@ -541,9 +712,11 @@ impl CountSummary {
         let mut total = 0usize;
         let mut prev_bucket = NIL;
         let mut prev_count: Option<u64> = None;
+        let mut order = Vec::new();
         let mut b = self.first;
         while b != NIL {
             let bucket = &self.buckets[b as usize];
+            order.push(b);
             assert!(
                 !std::mem::replace(&mut seen_buckets[b as usize], true),
                 "bucket {b} appears twice on the ordered list"
@@ -582,6 +755,10 @@ impl CountSummary {
             b = bucket.next;
         }
         assert_eq!(self.last, prev_bucket, "stale last-bucket pointer");
+        assert_eq!(self.hole, NIL, "bucket index hole left between operations");
+        if !self.index.is_empty() {
+            assert_eq!(self.index, order, "bucket index does not mirror the list");
+        }
         assert_eq!(total, self.len, "len does not match attached slots");
         for (s, link) in self.slots.iter().enumerate() {
             assert_eq!(
@@ -756,6 +933,44 @@ mod tests {
         }
         s.validate();
         assert_eq!(s.len(), 16);
+    }
+
+    #[test]
+    fn fractional_churn_lookups_stay_bounded() {
+        // Graphene-shaped churn at ImPress-P resolution on a 448-entry table:
+        // EACTs of 1 to 32 in 1/128 steps, decoy misses evicting a minimum at
+        // or below the spillover count (else spilling), hot-row matches, and
+        // threshold roll-backs. Nearly every count gets a bucket of its own, so
+        // an uncapped walk crosses on the order of a hundred buckets per lookup.
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        const SLOTS: usize = 448;
+        const THRESHOLD: u64 = 2_000 * 128;
+        let mut rng = SmallRng::seed_from_u64(1);
+        let mut s = CountSummary::new(SLOTS);
+        let mut spillover = 0u64;
+        for slot in 0..SLOTS {
+            s.attach(slot, rng.gen_range(128..=4096u64));
+        }
+        for _ in 0..200_000u32 {
+            let eact = rng.gen_range(128..=4096u64);
+            if rng.gen_range(0..4u32) == 0 {
+                let slot = rng.gen_range(0..32usize);
+                let count = s.count_of(slot).unwrap() + eact;
+                s.set_count(slot, if count >= THRESHOLD { spillover } else { count });
+            } else {
+                match s.min() {
+                    Some((victim, min)) if min <= spillover => {
+                        s.set_count(victim, spillover + eact);
+                    }
+                    _ => spillover += eact,
+                }
+            }
+        }
+        s.validate();
+        assert!(!s.index.is_empty(), "the stream never took a long walk");
+        let mean = s.visits as f64 / s.lookups as f64;
+        assert!(mean <= 24.0, "{mean:.1} bucket visits per lookup");
     }
 
     #[test]

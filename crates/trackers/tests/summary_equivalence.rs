@@ -30,6 +30,11 @@
 //!     clears) preserve the bucket-list ordering invariants, checked by
 //!     [`CountSummary::validate`] against a naive model under randomized
 //!     attach/detach/set-count/clear streams.
+//!
+//! (d) The bucket index behind long position lookups changes no choice: at
+//!     Graphene's and Mithril's table sizes, under ImPress-P fractional churn,
+//!     the summary picks the same min/max *slots* as a walk-only transcription
+//!     of its positioning, operation by operation.
 
 use std::collections::HashMap;
 
@@ -649,5 +654,357 @@ proptest! {
                 prop_assert_eq!(summary.count_of(s), Some(c));
             }
         }
+    }
+}
+
+/// Oracle transcription of the walk-only [`CountSummary`] positioning: the same
+/// buckets, links, LIFO member lists, in-place recount and end jumps, but every
+/// position lookup walks the bucket list from its hint however far the answer
+/// is. The indexed summary must pick the same bucket on every lookup, so slot
+/// identities — not just counts — must agree at every step.
+struct WalkSummary {
+    /// Per-slot `(bucket, prev, next)` links; `bucket == NIL` when detached.
+    slots: Vec<(u32, u32, u32)>,
+    /// Per-bucket `(count, head, prev, next)`; free nodes chain through `next`.
+    buckets: Vec<(u64, u32, u32, u32)>,
+    free_head: u32,
+    first: u32,
+    last: u32,
+}
+
+const NIL: u32 = u32::MAX;
+
+impl WalkSummary {
+    fn new(slots: usize) -> Self {
+        let mut summary = Self {
+            slots: vec![(NIL, NIL, NIL); slots],
+            buckets: vec![(0, NIL, NIL, NIL); slots],
+            free_head: NIL,
+            first: NIL,
+            last: NIL,
+        };
+        summary.rebuild_free_chain();
+        summary
+    }
+
+    fn rebuild_free_chain(&mut self) {
+        self.free_head = NIL;
+        for b in (0..self.buckets.len() as u32).rev() {
+            self.buckets[b as usize].3 = self.free_head;
+            self.free_head = b;
+        }
+    }
+
+    fn count_of(&self, slot: usize) -> Option<u64> {
+        let b = self.slots[slot].0;
+        (b != NIL).then(|| self.buckets[b as usize].0)
+    }
+
+    fn min(&self) -> Option<(usize, u64)> {
+        (self.first != NIL).then(|| {
+            let (count, head, ..) = self.buckets[self.first as usize];
+            (head as usize, count)
+        })
+    }
+
+    fn max(&self) -> Option<(usize, u64)> {
+        (self.last != NIL).then(|| {
+            let (count, head, ..) = self.buckets[self.last as usize];
+            (head as usize, count)
+        })
+    }
+
+    /// `hint` is `last` when the new count is at or above the maximum, else NIL.
+    fn end_hint(&self, count: u64) -> u32 {
+        if self.last != NIL && self.buckets[self.last as usize].0 <= count {
+            self.last
+        } else {
+            NIL
+        }
+    }
+
+    fn attach(&mut self, slot: usize, count: u64) {
+        let anchor = self.anchor(self.end_hint(count), count);
+        self.link_slot(anchor, slot, count);
+    }
+
+    fn detach(&mut self, slot: usize) {
+        let b = self.slots[slot].0;
+        self.unlink_slot(b, slot);
+    }
+
+    fn set_count(&mut self, slot: usize, count: u64) {
+        let b = self.slots[slot].0;
+        let (old, head, bprev, bnext) = self.buckets[b as usize];
+        if old == count {
+            return;
+        }
+        if head == slot as u32
+            && self.slots[slot].2 == NIL
+            && (bprev == NIL || self.buckets[bprev as usize].0 < count)
+            && (bnext == NIL || self.buckets[bnext as usize].0 > count)
+        {
+            self.buckets[b as usize].0 = count;
+            return;
+        }
+        let mut hint = self.unlink_slot(b, slot);
+        if self.last != NIL && self.buckets[self.last as usize].0 <= count {
+            hint = self.last;
+        } else if self.first == NIL || self.buckets[self.first as usize].0 > count {
+            hint = NIL;
+        }
+        let anchor = self.anchor(hint, count);
+        self.link_slot(anchor, slot, count);
+    }
+
+    fn evict_min_if_at_most(&mut self, limit: u64, count: u64) -> Option<usize> {
+        let (min, head, ..) = *self.buckets.get(self.first as usize)?;
+        if min > limit {
+            return None;
+        }
+        let slot = head as usize;
+        let hint = self.unlink_slot(self.first, slot);
+        let anchor = if self.last != NIL && self.buckets[self.last as usize].0 <= count {
+            self.anchor(self.last, count)
+        } else {
+            self.anchor(hint, count)
+        };
+        self.link_slot(anchor, slot, count);
+        Some(slot)
+    }
+
+    fn clear(&mut self) {
+        self.slots.fill((NIL, NIL, NIL));
+        self.first = NIL;
+        self.last = NIL;
+        self.rebuild_free_chain();
+    }
+
+    /// The bucket with the largest count ≤ `count` (NIL if none), walking from
+    /// `hint` (or `first`) with no step limit.
+    fn anchor(&self, hint: u32, count: u64) -> u32 {
+        let mut cur = if hint == NIL { self.first } else { hint };
+        if cur == NIL {
+            return NIL;
+        }
+        if self.buckets[cur as usize].0 <= count {
+            loop {
+                let next = self.buckets[cur as usize].3;
+                if next == NIL || self.buckets[next as usize].0 > count {
+                    return cur;
+                }
+                cur = next;
+            }
+        } else {
+            loop {
+                let prev = self.buckets[cur as usize].2;
+                if prev == NIL {
+                    return NIL;
+                }
+                if self.buckets[prev as usize].0 <= count {
+                    return prev;
+                }
+                cur = prev;
+            }
+        }
+    }
+
+    fn link_slot(&mut self, anchor: u32, slot: usize, count: u64) {
+        let target = if anchor != NIL && self.buckets[anchor as usize].0 == count {
+            anchor
+        } else {
+            let b = self.free_head;
+            self.free_head = self.buckets[b as usize].3;
+            let next = if anchor == NIL {
+                self.first
+            } else {
+                self.buckets[anchor as usize].3
+            };
+            self.buckets[b as usize] = (count, NIL, anchor, next);
+            if anchor == NIL {
+                self.first = b;
+            } else {
+                self.buckets[anchor as usize].3 = b;
+            }
+            if next == NIL {
+                self.last = b;
+            } else {
+                self.buckets[next as usize].2 = b;
+            }
+            b
+        };
+        let head = self.buckets[target as usize].1;
+        self.slots[slot] = (target, NIL, head);
+        if head != NIL {
+            self.slots[head as usize].1 = slot as u32;
+        }
+        self.buckets[target as usize].1 = slot as u32;
+    }
+
+    /// Unlinks `slot` from bucket `b`; returns `b` if it survives, else its
+    /// predecessor (the re-link hint).
+    fn unlink_slot(&mut self, b: u32, slot: usize) -> u32 {
+        let (_, prev, next) = self.slots[slot];
+        if prev != NIL {
+            self.slots[prev as usize].2 = next;
+        } else {
+            self.buckets[b as usize].1 = next;
+        }
+        if next != NIL {
+            self.slots[next as usize].1 = prev;
+        }
+        self.slots[slot] = (NIL, NIL, NIL);
+        if self.buckets[b as usize].1 != NIL {
+            return b;
+        }
+        let (_, _, bprev, bnext) = self.buckets[b as usize];
+        if bprev != NIL {
+            self.buckets[bprev as usize].3 = bnext;
+        } else {
+            self.first = bnext;
+        }
+        if bnext != NIL {
+            self.buckets[bnext as usize].2 = bprev;
+        } else {
+            self.last = bprev;
+        }
+        self.buckets[b as usize].3 = self.free_head;
+        self.free_head = b;
+        bprev
+    }
+}
+
+/// Drives the indexed [`CountSummary`] and the walk-only oracle in lockstep
+/// through a Graphene/Mithril-shaped stream at ImPress-P resolution: EACT
+/// increments of 1 to 32 in 1/128 steps (raw 128..=4096), free-slot attaches
+/// and spillover growth on misses, min-evictions both as Graphene's
+/// `min()` + `set_count` and Mithril's `evict_min_if_at_most`, threshold and
+/// RFM roll-backs to the spillover count, the batch kernel's forced
+/// detach + attach move, bare detaches and refresh-window clears. After every
+/// operation the min/max slot identities and the touched slot's count must
+/// agree; every 128 operations the full structure is validated (including the
+/// bucket index mirroring the list) and every slot's count compared.
+fn lockstep_with_walk_oracle(slots: usize, seed: u64, ops: u32) {
+    const THRESHOLD: u64 = 2_000 * 128;
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut indexed = CountSummary::new(slots);
+    let mut oracle = WalkSummary::new(slots);
+    let mut spillover = 0u64;
+    for step in 0..ops {
+        let eact = rng.gen_range(128..=4096u64);
+        let slot = rng.gen_range(0..slots);
+        let touched = match rng.gen_range(0..100_000u32) {
+            // Miss: claim a free slot at the spillover count, else evict a
+            // minimum at or below it, else spill.
+            0..=39_999 => {
+                if indexed.count_of(slot).is_none() {
+                    indexed.attach(slot, spillover + eact);
+                    oracle.attach(slot, spillover + eact);
+                    Some(slot)
+                } else if step % 2 == 0 {
+                    let victim = indexed.evict_min_if_at_most(spillover, spillover + eact);
+                    assert_eq!(
+                        victim,
+                        oracle.evict_min_if_at_most(spillover, spillover + eact),
+                        "step {step}: evict_min_if_at_most chose a different victim"
+                    );
+                    if victim.is_none() {
+                        spillover += eact;
+                    }
+                    victim
+                } else {
+                    match indexed.min() {
+                        Some((victim, min)) if min <= spillover => {
+                            indexed.set_count(victim, spillover + eact);
+                            oracle.set_count(victim, spillover + eact);
+                            Some(victim)
+                        }
+                        _ => {
+                            spillover += eact;
+                            None
+                        }
+                    }
+                }
+            }
+            // Match: add the EACT, rolling back to the spillover count when the
+            // internal threshold is crossed.
+            40_000..=84_999 => indexed.count_of(slot).map(|count| {
+                let next = if count + eact >= THRESHOLD {
+                    spillover
+                } else {
+                    count + eact
+                };
+                indexed.set_count(slot, next);
+                oracle.set_count(slot, next);
+                slot
+            }),
+            // RFM: roll the maximum back to the spillover count.
+            85_000..=89_999 => indexed.max().map(|(top, _)| {
+                indexed.set_count(top, spillover);
+                oracle.set_count(top, spillover);
+                top
+            }),
+            // Batch-kernel forced move: detach + re-attach, sometimes at the
+            // same count (the slot must still land at its bucket's head).
+            90_000..=95_999 => indexed.count_of(slot).map(|count| {
+                let next = if rng.gen_bool(0.5) {
+                    count
+                } else {
+                    count + eact
+                };
+                indexed.detach(slot);
+                oracle.detach(slot);
+                indexed.attach(slot, next);
+                oracle.attach(slot, next);
+                slot
+            }),
+            // Bare detach, freeing the slot.
+            96_000..=99_989 => indexed.count_of(slot).map(|_| {
+                indexed.detach(slot);
+                oracle.detach(slot);
+                slot
+            }),
+            // Refresh-window clear.
+            _ => {
+                indexed.clear();
+                oracle.clear();
+                spillover = 0;
+                None
+            }
+        };
+        assert_eq!(indexed.min(), oracle.min(), "step {step}: min slot differs");
+        assert_eq!(indexed.max(), oracle.max(), "step {step}: max slot differs");
+        if let Some(s) = touched {
+            assert_eq!(
+                indexed.count_of(s),
+                oracle.count_of(s),
+                "step {step}: slot {s}"
+            );
+        }
+        if step % 128 == 0 {
+            indexed.validate();
+            for s in 0..slots {
+                assert_eq!(
+                    indexed.count_of(s),
+                    oracle.count_of(s),
+                    "step {step}: slot {s}"
+                );
+            }
+        }
+    }
+    indexed.validate();
+}
+
+#[test]
+fn indexed_summary_matches_walk_oracle_at_graphene_size() {
+    for seed in 0..3 {
+        lockstep_with_walk_oracle(448, seed, 60_000);
+    }
+}
+
+#[test]
+fn indexed_summary_matches_walk_oracle_at_mithril_size() {
+    for seed in 0..3 {
+        lockstep_with_walk_oracle(383, 0x5eed + seed, 60_000);
     }
 }
