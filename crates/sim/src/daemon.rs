@@ -1,8 +1,10 @@
-//! Supervised daemon-mode ingestion: checkpoints, watchdog, quarantine.
+//! Open-loop ingestion and its supervised daemon mode: checkpoints,
+//! watchdog, quarantine.
 //!
-//! [`supervise`] runs the same open-loop decode → route → execute pipeline as
-//! [`TraceRunner::ingest`](crate::trace_runner::TraceRunner), hardened for
-//! long-running service operation:
+//! One loop decodes, routes, executes and accounts every open-loop stream.
+//! [`TraceRunner::ingest`](crate::trace_runner::TraceRunner::ingest) runs it
+//! with no checkpoints, no watchdog and no resume; [`supervise`] runs it
+//! hardened for long-running service operation:
 //!
 //! * **Checkpoints** — every [`DaemonOptions::checkpoint_every`] records the
 //!   daemon emits a canonical-JSON [`Checkpoint`] (record count, source byte
@@ -20,9 +22,9 @@
 //!   [`DaemonOptions::max_lag_windows`]; beyond that the oldest window's
 //!   telemetry is shed (and ledgered) before any record is dropped.
 //! * **Quarantine** — a shard-worker panic is contained by the epoch pool
-//!   ([`impress_exec::EpochScope::try_run_epoch`]); the daemon ledgers the
+//!   ([`impress_exec::EpochScope::try_run_epoch`]); the loop ledgers the
 //!   failed round's records as a quarantined window and keeps serving instead
-//!   of crashing.
+//!   of crashing (in plain ingest too).
 //!
 //! Paired with a [`FollowSource`](impress_workloads::FollowSource) for stall
 //! tolerance and [`DecodeMode::Resync`] for corruption tolerance, this is the
@@ -42,10 +44,15 @@ use impress_workloads::source::TraceSource;
 
 use crate::runner::Configuration;
 use crate::sharded::{lock_task, make_tasks, QueuedAccess};
-use crate::trace_runner::{
-    FaultLedger, IngestReport, LedgerEntry, VerdictReport, WindowTelemetry, DEFAULT_GAP,
-    INGEST_BATCH,
-};
+use crate::trace_runner::{FaultLedger, IngestReport, LedgerEntry, VerdictReport, WindowTelemetry};
+
+/// Records executed per epoch-pool round during open-loop ingestion (matches the
+/// codec's frame size, so one decoded frame is one execute round).
+pub(crate) const INGEST_BATCH: usize = 8192;
+
+/// Default inter-arrival gap (DRAM cycles) when a trace carries no gaps: one
+/// cache-line transfer per burst slot spread across the baseline's two channels.
+pub(crate) const DEFAULT_GAP: u32 = 4;
 
 /// Canonical-JSON snapshot of ingest progress, durable across crashes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -222,24 +229,56 @@ pub fn supervise<S: TraceSource>(
     options: &DaemonOptions,
     on_checkpoint: &mut dyn FnMut(&Checkpoint) -> io::Result<()>,
 ) -> io::Result<IngestReport> {
-    supervise_with_hook(source, configuration, options, on_checkpoint, |_| {})
-}
-
-/// [`supervise`] with a per-round hook run on the worker executing shard 0 —
-/// the seam the quarantine tests use to inject deterministic panics.
-pub(crate) fn supervise_with_hook<S: TraceSource>(
-    source: S,
-    configuration: &Configuration,
-    options: &DaemonOptions,
-    on_checkpoint: &mut dyn FnMut(&Checkpoint) -> io::Result<()>,
-    round_hook: impl Fn(u64) + Sync,
-) -> io::Result<IngestReport> {
     let mode = if options.resync {
         DecodeMode::Resync
     } else {
         DecodeMode::Strict
     };
-    let mut reader = TraceReader::with_mode(source, mode)?;
+    let reader = TraceReader::with_mode(source, mode)?;
+    ingest_loop(reader, configuration, options, on_checkpoint, |_| {})
+}
+
+/// Validates the resume point `cp` once `records` records have been ingested
+/// and the reader sits at `position`, ledgering the resume on success.
+fn validate_resume(
+    cp: &Checkpoint,
+    records: u64,
+    position: u64,
+    ledger: &mut FaultLedger,
+) -> io::Result<()> {
+    if position != cp.source_offset {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "stream diverged from checkpoint: record {records} is at byte {position}, \
+                 checkpoint pinned byte {}",
+                cp.source_offset
+            ),
+        ));
+    }
+    ledger.push(LedgerEntry::Resume {
+        records,
+        offset: cp.source_offset,
+    });
+    Ok(())
+}
+
+/// The open-loop ingest loop behind both [`supervise`] and
+/// [`TraceRunner::ingest`](crate::trace_runner::TraceRunner::ingest): decode →
+/// route → execute → account, with no core feedback. Records advance
+/// simulated time by their recorded gaps (or [`DEFAULT_GAP`] for gapless
+/// traces) and execute on the channel shards in [`INGEST_BATCH`]-record
+/// rounds of the epoch pool. `options.resync` is not read: `reader` is
+/// already built. `round_hook` runs on the worker executing shard 0 before
+/// each round — the seam the quarantine tests use to inject deterministic
+/// panics.
+pub(crate) fn ingest_loop<S: TraceSource>(
+    mut reader: TraceReader<S>,
+    configuration: &Configuration,
+    options: &DaemonOptions,
+    on_checkpoint: &mut dyn FnMut(&Checkpoint) -> io::Result<()>,
+    round_hook: impl Fn(u64) + Sync,
+) -> io::Result<IngestReport> {
     let controller = MemoryController::new(configuration.controller_config());
     let (cfg, shards) = controller.into_parts();
     let min_latency = ChannelShard::min_access_latency(&cfg.timings);
@@ -287,6 +326,9 @@ pub(crate) fn supervise_with_hook<S: TraceSource>(
             let mut last_checkpoint: u64 = 0;
             let mut resume_from = options.resume_from;
 
+            let snapshot = || {
+                ChannelStats::merged((0..channels).map(|i| lock_task(tasks_ref, i).shard.stats()))
+            };
             // One epoch-pool round over the batched queues; a contained panic
             // quarantines the round's records instead of crashing the daemon.
             let flush = |queues: &mut Vec<Vec<QueuedAccess>>,
@@ -313,6 +355,11 @@ pub(crate) fn supervise_with_hook<S: TraceSource>(
                 *batched = 0;
             };
 
+            // A 0-record checkpoint (an empty stream's final one) is due
+            // before the first record.
+            if let Some(cp) = resume_from.take_if(|cp| cp.records == 0) {
+                validate_resume(&cp, 0, reader.position(), &mut ledger)?;
+            }
             while let Some(record) = reader.next_record()? {
                 now += if has_gaps {
                     record.gap as Cycle
@@ -332,26 +379,8 @@ pub(crate) fn supervise_with_hook<S: TraceSource>(
                 records += 1;
                 batched += 1;
 
-                if let Some(cp) = resume_from {
-                    if records == cp.records {
-                        if reader.position() != cp.source_offset {
-                            return Err(io::Error::new(
-                                io::ErrorKind::InvalidData,
-                                format!(
-                                    "stream diverged from checkpoint: record {} is at byte {}, \
-                                     checkpoint pinned byte {}",
-                                    records,
-                                    reader.position(),
-                                    cp.source_offset
-                                ),
-                            ));
-                        }
-                        ledger.push(LedgerEntry::Resume {
-                            records,
-                            offset: cp.source_offset,
-                        });
-                        resume_from = None;
-                    }
+                if let Some(cp) = resume_from.take_if(|cp| cp.records == records) {
+                    validate_resume(&cp, records, reader.position(), &mut ledger)?;
                 }
 
                 if batched == INGEST_BATCH {
@@ -375,9 +404,7 @@ pub(crate) fn supervise_with_hook<S: TraceSource>(
                 }
                 if records - window_start_records == window_records {
                     flush(&mut queues, &mut batched, &mut ledger, windows_emitted);
-                    let snap = ChannelStats::merged(
-                        (0..channels).map(|i| lock_task(tasks_ref, i).shard.stats()),
-                    );
+                    let snap = snapshot();
                     windows.push(WindowTelemetry::delta(
                         windows_emitted,
                         records - window_start_records,
@@ -407,9 +434,7 @@ pub(crate) fn supervise_with_hook<S: TraceSource>(
                 });
             }
             if records > window_start_records {
-                let snap = ChannelStats::merged(
-                    (0..channels).map(|i| lock_task(tasks_ref, i).shard.stats()),
-                );
+                let snap = snapshot();
                 windows.push(WindowTelemetry::delta(
                     windows_emitted,
                     records - window_start_records,
@@ -446,9 +471,9 @@ pub(crate) fn supervise_with_hook<S: TraceSource>(
             .into_iter()
             .map(|t| t.into_inner().unwrap_or_else(|e| e.into_inner()).shard)
             .map(|mut shard| {
-                // End-of-run flush (see `TraceRunner::ingest`): staged spans are
-                // mitigation-free, so stats are final; this only settles the
-                // trackers into their per-record-equivalent state.
+                // End-of-run flush: staged spans are mitigation-free, so the
+                // stats are already final, but the trackers must land in the
+                // same state a per-record run would leave them in.
                 shard.flush_staged_records();
                 shard.stats()
             }),
@@ -567,38 +592,59 @@ mod tests {
 
     #[test]
     fn supervised_clean_run_matches_plain_ingest() {
-        let bytes = sample_trace(50_000);
-        let configuration = Configuration::unprotected();
-        let mut checkpoints = Vec::new();
-        let report = supervise(
-            SliceSource::new(&bytes),
-            &configuration,
-            &opts(),
-            &mut |cp| {
-                checkpoints.push(*cp);
-                Ok(())
-            },
+        let clean = sample_trace(50_000);
+        let corrupted = apply_plan(
+            &clean,
+            &FaultPlan::seeded(7, &FrameMap::scan(&clean).unwrap()),
         )
         .unwrap();
-
-        let plain = crate::trace_runner::TraceRunner::new()
-            .with_window_records(10_000)
-            .ingest(
-                TraceReader::new(SliceSource::new(&bytes)).unwrap(),
+        let configuration = Configuration::unprotected();
+        for (label, bytes, resync) in [("clean", &clean, false), ("corrupted", &corrupted, true)] {
+            let mut checkpoints = Vec::new();
+            let report = supervise(
+                SliceSource::new(bytes),
                 &configuration,
+                &DaemonOptions { resync, ..opts() },
+                &mut |cp| {
+                    checkpoints.push(*cp);
+                    Ok(())
+                },
             )
             .unwrap();
-        assert_eq!(report.records, plain.records);
-        assert_eq!(report.memory, plain.memory);
-        assert_eq!(report.windows, plain.windows);
-        assert_eq!(report.verdict, plain.verdict);
-        assert_eq!(report.verdict.outcome(), "clean");
-        // Periodic checkpoints at the first batch boundaries past 20k and 40k
-        // records, plus the final one at end of stream.
-        assert_eq!(
-            checkpoints.iter().map(|c| c.records).collect::<Vec<_>>(),
-            vec![28_192, 48_192, 50_000]
-        );
+
+            let mode = if resync {
+                DecodeMode::Resync
+            } else {
+                DecodeMode::Strict
+            };
+            let plain = crate::trace_runner::TraceRunner::new()
+                .with_window_records(10_000)
+                .ingest(
+                    TraceReader::with_mode(SliceSource::new(bytes), mode).unwrap(),
+                    &configuration,
+                )
+                .unwrap();
+            assert_eq!(report.records, plain.records, "{label}");
+            assert_eq!(report.memory, plain.memory, "{label}");
+            assert_eq!(report.windows, plain.windows, "{label}");
+            assert_eq!(report.verdict, plain.verdict, "{label}");
+            assert_eq!(
+                report.verdict.to_json(),
+                plain.verdict.to_json(),
+                "{label}: decode-fault and truncation ledger order must match"
+            );
+            if resync {
+                assert_ne!(report.verdict.outcome(), "clean", "{label}");
+            } else {
+                assert_eq!(report.verdict.outcome(), "clean");
+                // Periodic checkpoints at the first batch boundaries past 20k
+                // and 40k records, plus the final one at end of stream.
+                assert_eq!(
+                    checkpoints.iter().map(|c| c.records).collect::<Vec<_>>(),
+                    vec![28_192, 48_192, 50_000]
+                );
+            }
+        }
     }
 
     #[test]
@@ -647,6 +693,68 @@ mod tests {
             full.verdict.to_json_extended(),
             "the resume marker must be visible"
         );
+    }
+
+    #[test]
+    fn resume_from_an_empty_streams_final_checkpoint() {
+        // A header-only stream (e.g. a tenant that sent its header, then FIN)
+        // leaves a final checkpoint at 0 records; resuming from it must
+        // validate before the first record instead of waiting for one.
+        let bytes = sample_trace(0);
+        let configuration = Configuration::unprotected();
+        let options = DaemonOptions {
+            checkpoint_every: 16,
+            ..opts()
+        };
+        let mut checkpoints = Vec::new();
+        supervise(
+            SliceSource::new(&bytes),
+            &configuration,
+            &options,
+            &mut |cp| {
+                checkpoints.push(*cp);
+                Ok(())
+            },
+        )
+        .unwrap();
+        let last = *checkpoints.last().unwrap();
+        assert_eq!(last.records, 0);
+        assert_eq!(last.source_offset, bytes.len() as u64);
+
+        let resumed = supervise(
+            SliceSource::new(&bytes),
+            &configuration,
+            &DaemonOptions {
+                resume_from: Some(last),
+                ..options.clone()
+            },
+            &mut |_| Ok(()),
+        )
+        .unwrap();
+        assert_eq!(resumed.records, 0);
+        assert_eq!(
+            resumed.verdict.faults.entries,
+            vec![LedgerEntry::Resume {
+                records: 0,
+                offset: last.source_offset,
+            }]
+        );
+
+        // A 0-record checkpoint pinned to another offset is still refused.
+        let err = supervise(
+            SliceSource::new(&bytes),
+            &configuration,
+            &DaemonOptions {
+                resume_from: Some(Checkpoint {
+                    source_offset: last.source_offset + 1,
+                    ..last
+                }),
+                ..options
+            },
+            &mut |_| Ok(()),
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("diverged"), "{err}");
     }
 
     #[test]
@@ -718,8 +826,8 @@ mod tests {
         let bytes = sample_trace(40_000);
         let configuration = Configuration::unprotected();
         let run = |threads: usize| {
-            supervise_with_hook(
-                SliceSource::new(&bytes),
+            ingest_loop(
+                TraceReader::new(SliceSource::new(&bytes)).unwrap(),
                 &configuration,
                 &DaemonOptions {
                     shard_threads: threads,

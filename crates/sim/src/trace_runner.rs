@@ -14,29 +14,24 @@
 //!   shards — decode, route, execute on the epoch pool, account — with no core
 //!   feedback. This is the high-throughput path for replaying device traces
 //!   (rowhammer-tester, DRAMA-style) and emits per-window disturbance and
-//!   mitigation telemetry plus an end-of-run [`VerdictReport`].
+//!   mitigation telemetry plus an end-of-run [`VerdictReport`]. It is the
+//!   supervised loop of [`crate::daemon`] run without checkpoints, watchdog
+//!   or resume, so a file ingest and a `trace daemon` run of the same bytes
+//!   agree byte for byte — and, as in the daemon, a shard panic is contained
+//!   and ends in a `quarantined` verdict instead of unwinding.
 
 use std::collections::VecDeque;
 use std::io;
 
 use impress_dram::stats::ChannelStats;
 use impress_dram::timing::Cycle;
-use impress_memctrl::{ChannelShard, MemoryController};
 use impress_workloads::codec::{IngestFault, TraceMeta, TraceReader, TraceRecord};
 use impress_workloads::source::{AccessSource, TraceSource, TransportEvent};
 use impress_workloads::MemoryAccess;
 
+use crate::daemon::{ingest_loop, DaemonOptions};
 use crate::runner::{Configuration, SweepOptions};
-use crate::sharded::{lock_task, make_tasks, QueuedAccess};
 use crate::system::{RunOutput, System};
-
-/// Records executed per epoch-pool round during open-loop ingestion (matches the
-/// codec's frame size, so one decoded frame is one execute round).
-pub(crate) const INGEST_BATCH: usize = 8192;
-
-/// Default inter-arrival gap (DRAM cycles) when a trace carries no gaps: one
-/// cache-line transfer per burst slot spread across the baseline's two channels.
-pub(crate) const DEFAULT_GAP: u32 = 4;
 
 /// An [`AccessSource`] that replays recorded per-core access streams.
 ///
@@ -329,17 +324,6 @@ impl FaultLedger {
             self.entries.insert(at, entry);
         } else {
             self.entries.push(entry);
-        }
-    }
-
-    /// Absorbs the decoder's fault list (plus its truncation flag) in stream
-    /// order.
-    pub fn absorb_decoder(&mut self, faults: Vec<IngestFault>, truncated_at: Option<u64>) {
-        for f in faults {
-            self.push(LedgerEntry::Decode(f));
-        }
-        if let Some(offset) = truncated_at {
-            self.push(LedgerEntry::TruncatedStream { offset });
         }
     }
 
@@ -672,165 +656,31 @@ impl TraceRunner {
     }
 
     /// Open-loop ingestion: decode → route → execute → account, with no core
-    /// feedback. Records advance simulated time by their recorded gaps (or
-    /// [`DEFAULT_GAP`] for gapless traces) and execute on the channel shards in
-    /// [`INGEST_BATCH`]-record rounds of the epoch pool.
+    /// feedback. This is the [`supervise`](crate::daemon::supervise) loop with
+    /// no checkpoints, no watchdog and no resume; records advance simulated
+    /// time by their recorded gaps and execute on the channel shards in
+    /// codec-frame-sized rounds of the epoch pool.
     ///
     /// Deterministic for any `shard_threads`: routing is a pure function of the
-    /// stream, and shards share no state.
+    /// stream, and shards share no state. A shard panic is contained and
+    /// ledgered as a quarantined window, as in the daemon.
     ///
     /// # Errors
     ///
     /// Propagates codec errors (corrupt frames, truncation) from the reader.
     pub fn ingest<S: TraceSource>(
         &self,
-        mut reader: TraceReader<S>,
+        reader: TraceReader<S>,
         configuration: &Configuration,
     ) -> io::Result<IngestReport> {
-        let controller_config = configuration.controller_config();
-        let controller = MemoryController::new(controller_config);
-        let (cfg, shards) = controller.into_parts();
-        let min_latency = ChannelShard::min_access_latency(&cfg.timings);
-        let tasks = make_tasks(shards, min_latency);
-        let channels = tasks.len();
-        if self
-            .record_batch
-            .unwrap_or_else(impress_core::engine::record_batching_from_env)
-        {
-            for i in 0..channels {
-                lock_task(&tasks, i).shard.set_record_batching(true);
-            }
-        }
-        let mapping = cfg.mapping;
-        let organization = &cfg.organization;
-        let has_gaps = reader.meta().has_gaps;
-        let workload = reader.meta().name.clone();
-        let window_records = self.window_records;
-
-        type IngestLoopOut = (
-            u64,
-            Cycle,
-            Vec<WindowTelemetry>,
-            Vec<IngestFault>,
-            Vec<TransportEvent>,
-            Option<u64>,
-        );
-        let tasks_ref = &tasks;
-        let result: io::Result<IngestLoopOut> = impress_exec::epoch_scope(
-            self.shard_threads,
-            channels,
-            move |i| lock_task(tasks_ref, i).execute(),
-            |scope| {
-                let mut queues: Vec<Vec<QueuedAccess>> =
-                    (0..channels).map(|_| Vec::new()).collect();
-                let mut now: Cycle = 0;
-                let mut records: u64 = 0;
-                let mut batched: usize = 0;
-                let mut windows: Vec<WindowTelemetry> = Vec::new();
-                let mut window_start_records: u64 = 0;
-                let mut prev = ChannelStats::default();
-
-                let flush = |queues: &mut Vec<Vec<QueuedAccess>>, batched: &mut usize| {
-                    if *batched == 0 {
-                        return;
-                    }
-                    for (channel, queue) in queues.iter_mut().enumerate() {
-                        std::mem::swap(&mut lock_task(tasks_ref, channel).queue, queue);
-                    }
-                    scope.run_epoch();
-                    for (channel, queue) in queues.iter_mut().enumerate() {
-                        std::mem::swap(&mut lock_task(tasks_ref, channel).queue, queue);
-                        queue.clear();
-                    }
-                    *batched = 0;
-                };
-
-                while let Some(record) = reader.next_record()? {
-                    now += if has_gaps {
-                        record.gap as Cycle
-                    } else {
-                        DEFAULT_GAP as Cycle
-                    };
-                    let location = mapping
-                        .decode(record.to_access().address, organization)
-                        .map_err(|e| {
-                            io::Error::new(
-                                io::ErrorKind::InvalidData,
-                                format!("record {records}: {e}"),
-                            )
-                        })?;
-                    queues[location.channel as usize].push(QueuedAccess {
-                        location,
-                        is_write: record.is_write,
-                        at: now,
-                    });
-                    records += 1;
-                    batched += 1;
-                    if batched == INGEST_BATCH {
-                        flush(&mut queues, &mut batched);
-                    }
-                    if records - window_start_records == window_records {
-                        flush(&mut queues, &mut batched);
-                        let snap = ChannelStats::merged(
-                            (0..channels).map(|i| lock_task(tasks_ref, i).shard.stats()),
-                        );
-                        windows.push(WindowTelemetry::delta(
-                            windows.len() as u64,
-                            records - window_start_records,
-                            now,
-                            &prev,
-                            &snap,
-                        ));
-                        prev = snap;
-                        window_start_records = records;
-                    }
-                }
-                flush(&mut queues, &mut batched);
-                if records > window_start_records {
-                    let snap = ChannelStats::merged(
-                        (0..channels).map(|i| lock_task(tasks_ref, i).shard.stats()),
-                    );
-                    windows.push(WindowTelemetry::delta(
-                        windows.len() as u64,
-                        records - window_start_records,
-                        now,
-                        &prev,
-                        &snap,
-                    ));
-                }
-                let faults = reader.take_faults();
-                let transport = reader.take_transport_events();
-                let truncated_at = reader.truncated().then(|| reader.byte_offset());
-                Ok((records, now, windows, faults, transport, truncated_at))
-            },
-        );
-        let (records, elapsed_cycles, windows, faults, transport, truncated_at) = result?;
-        let mut ledger = FaultLedger::default();
-        ledger.absorb_decoder(faults, truncated_at);
-        ledger.absorb_transport(transport);
-
-        let memory = ChannelStats::merged(
-            tasks
-                .into_iter()
-                .map(|t| t.into_inner().unwrap_or_else(|e| e.into_inner()).shard)
-                .map(|mut shard| {
-                    // End-of-run flush: staged spans are mitigation-free so the
-                    // stats are already final, but the trackers must land in the
-                    // same state a per-record run would leave them in.
-                    shard.flush_staged_records();
-                    shard.stats()
-                }),
-        );
-        let verdict =
-            VerdictReport::from_stats(&workload, configuration, records, elapsed_cycles, &memory)
-                .with_faults(ledger);
-        Ok(IngestReport {
-            records,
-            elapsed_cycles,
-            memory,
-            windows,
-            verdict,
-        })
+        let options = DaemonOptions {
+            window_records: self.window_records,
+            checkpoint_every: 0,
+            shard_threads: self.shard_threads,
+            record_batch: self.record_batch,
+            ..DaemonOptions::default()
+        };
+        ingest_loop(reader, configuration, &options, &mut |_| Ok(()), |_| {})
     }
 }
 

@@ -1,9 +1,11 @@
 //! Hostile-network robustness: seeded transport faults against live
 //! endpoints.
 //!
-//! Every run drives the real `SocketSource` accept loop under `supervise`
-//! against the real retrying client, with a seeded [`ConnFaultPlan`] wrapping
-//! the client's wire in a [`FaultTransport`]. The contract under attack:
+//! Every run drives the real `TenantServer` accept loop, admitting one
+//! producer (`max_clients = 1`), under `serve_tenants` against the real
+//! retrying client, with a seeded [`ConnFaultPlan`] wrapping the client's
+//! wire in a [`FaultTransport`]; tenant 1's report is the daemon's verdict.
+//! The contract under attack:
 //!
 //! - neither endpoint ever panics, whatever the plan injects;
 //! - a retrying client always terminates, delivers a byte-identical stream,
@@ -14,14 +16,15 @@
 
 use std::io;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread;
 use std::time::Duration;
 
-use impress_sim::{supervise, Configuration, DaemonOptions, IngestReport};
+use impress_sim::{serve_tenants, supervise, Configuration, DaemonOptions, IngestReport};
 use impress_workloads::codec::{TraceMeta, TraceRecord, TraceWriter};
 use impress_workloads::source::{FollowPolicy, SliceSource};
 use impress_workloads::transport::{
-    send_stream, Endpoint, Listener, MemInput, SendOptions, SocketSource, WireLink,
+    send_stream, Endpoint, Listener, MemInput, SendOptions, TenantLimits, TenantServer, WireLink,
 };
 use impress_workloads::{ConnFaultPlan, ConnFaultState, FaultTransport, FrameMap};
 
@@ -89,22 +92,39 @@ fn modulo_markers(json: &str) -> String {
         + "\n"
 }
 
+/// Serves one producer at a time on its own thread and returns tenant 1's
+/// report. Raising `drain` ends the serving loop before its idle limit.
 fn spawn_daemon(
     endpoint: &Endpoint,
     idle: Duration,
+    drain: &'static AtomicBool,
 ) -> (Endpoint, thread::JoinHandle<io::Result<IngestReport>>) {
     let listener = Listener::bind(endpoint).unwrap();
     let bound = listener.local_endpoint().unwrap();
     let configuration = Configuration::unprotected();
     let handle = thread::spawn(move || {
-        supervise(
-            SocketSource::new(listener, policy(idle)),
-            &configuration,
-            &opts(),
-            &mut |_| Ok(()),
-        )
+        let limits = TenantLimits {
+            max_clients: 1,
+            ..TenantLimits::default()
+        };
+        let mut server = TenantServer::new(listener, policy(idle), limits).with_drain_flag(drain);
+        let mut multi = serve_tenants(&mut server, &configuration, &opts(), None)?;
+        let at = multi
+            .tenants
+            .iter()
+            .position(|t| t.tenant == 1)
+            .ok_or_else(|| io::Error::other("no producer was admitted"))?;
+        multi
+            .tenants
+            .swap_remove(at)
+            .result
+            .map_err(io::Error::other)
     });
     (bound, handle)
+}
+
+fn stop_flag() -> &'static AtomicBool {
+    Box::leak(Box::new(AtomicBool::new(false)))
 }
 
 /// Streams `bytes` through a seeded [`FaultTransport`]; the fired-state is
@@ -152,13 +172,18 @@ fn retrying_client_survives_every_seeded_plan_with_verdict_identity() {
 
     for seed in SEEDS {
         let plan = ConnFaultPlan::seeded(seed, bytes.len() as u64);
+        let stop = stop_flag();
         let (bound, daemon) = spawn_daemon(
             &Endpoint::Unix(unix_path(&format!("retry{seed}"))),
             Duration::from_secs(2),
+            stop,
         );
         let client = faulted_send(bytes.clone(), bound, &plan, true, Duration::from_secs(5));
 
         let (result, cuts_fired) = client.join().expect("client must not panic (seed {seed})");
+        // Delivery is over (the FIN is acked below): end serving now instead
+        // of idling out; a finished tenant gets no drain marker.
+        stop.store(true, Ordering::SeqCst);
         let outcome = result.expect("retrying client must terminate successfully");
         assert!(outcome.complete, "seed {seed}: FIN must be acked");
         assert_eq!(outcome.acked, bytes.len() as u64, "seed {seed}");
@@ -202,6 +227,7 @@ fn non_retrying_client_damage_is_bounded_by_the_plan_oracle() {
         let (bound, daemon) = spawn_daemon(
             &Endpoint::Unix(unix_path(&format!("noretry{seed}"))),
             Duration::from_millis(400),
+            stop_flag(),
         );
         let client = faulted_send(bytes.clone(), bound, &plan, false, Duration::from_secs(2));
 

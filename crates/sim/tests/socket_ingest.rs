@@ -5,8 +5,9 @@
 //! TCP or a Unix-domain socket — at any shard thread count, across daemon
 //! crashes and client reconnects — yields the same verdict JSON as reading
 //! the file directly, modulo the ledgered `resume`/`conn-*` marker lines the
-//! transport records. These tests run the real `SocketSource` accept loop
-//! under `supervise` against the real `send_to` client over loopback.
+//! transport records. These tests run the real `TenantServer` accept loop,
+//! admitting one producer (`max_clients = 1`), under `serve_tenants` against
+//! the real `send_to` client over loopback, and read tenant 1's report.
 
 use std::io;
 use std::path::PathBuf;
@@ -16,11 +17,12 @@ use std::thread;
 use std::time::Duration;
 
 use impress_sim::daemon::{supervise, Checkpoint, DaemonOptions};
-use impress_sim::{Configuration, IngestReport};
+use impress_sim::{serve_tenants, Configuration, IngestReport, MultiReport};
 use impress_workloads::codec::{DecodeMode, TraceMeta, TraceReader, TraceRecord, TraceWriter};
-use impress_workloads::source::{FollowPolicy, SliceSource, TraceSource, TransportEvent};
+use impress_workloads::source::{FollowPolicy, SliceSource, TransportEvent};
 use impress_workloads::transport::{
-    send_to, Endpoint, Listener, MemInput, SendOptions, SocketSource,
+    send_to, Endpoint, Listener, MemInput, SendOptions, ServerPoll, TenantLimits, TenantServer,
+    TenantSink,
 };
 
 const RECORDS: u64 = 50_000;
@@ -84,38 +86,61 @@ fn modulo_markers(json: &str) -> String {
         + "\n"
 }
 
-/// Runs `supervise` over a socket source bound to `endpoint` on its own
-/// thread, collecting checkpoints.
-#[allow(clippy::type_complexity)]
+/// A socket server admitting one producer at a time.
+fn solo_server(listener: Listener, idle: Duration) -> TenantServer {
+    TenantServer::new(
+        listener,
+        policy(idle),
+        TenantLimits {
+            max_clients: 1,
+            ..TenantLimits::default()
+        },
+    )
+}
+
+/// Tenant 1's report out of a serving run.
+fn tenant_one(multi: io::Result<MultiReport>) -> io::Result<IngestReport> {
+    let mut multi = multi?;
+    let at = multi
+        .tenants
+        .iter()
+        .position(|t| t.tenant == 1)
+        .ok_or_else(|| io::Error::other("no producer was admitted"))?;
+    multi
+        .tenants
+        .swap_remove(at)
+        .result
+        .map_err(io::Error::other)
+}
+
+/// A fresh drain flag. Raising it once the producer's FIN is acked ends the
+/// serving loop without waiting out its idle limit; a finished tenant gets
+/// no drain marker, so the verdict is unchanged.
+fn stop_flag() -> &'static AtomicBool {
+    Box::leak(Box::new(AtomicBool::new(false)))
+}
+
+/// Runs `serve_tenants` over a one-producer server bound to `endpoint` on its
+/// own thread, publishing checkpoints to `checkpoint` if given.
 fn spawn_daemon(
     endpoint: &Endpoint,
     shard_threads: usize,
     resume_from: Option<Checkpoint>,
     idle: Duration,
-    drain: Option<&'static AtomicBool>,
-) -> (
-    Endpoint,
-    thread::JoinHandle<(io::Result<IngestReport>, Vec<Checkpoint>)>,
-) {
+    drain: &'static AtomicBool,
+    checkpoint: Option<PathBuf>,
+) -> (Endpoint, thread::JoinHandle<io::Result<IngestReport>>) {
     let listener = Listener::bind(endpoint).unwrap();
     let bound = listener.local_endpoint().unwrap();
     let configuration = Configuration::unprotected();
     let handle = thread::spawn(move || {
-        let mut source = SocketSource::new(listener, policy(idle));
-        if let Some(flag) = drain {
-            source = source.with_drain_flag(flag);
-        }
-        let mut checkpoints = Vec::new();
-        let report = supervise(
-            source,
+        let mut server = solo_server(listener, idle).with_drain_flag(drain);
+        tenant_one(serve_tenants(
+            &mut server,
             &configuration,
             &opts(shard_threads, resume_from),
-            &mut |cp| {
-                checkpoints.push(*cp);
-                Ok(())
-            },
-        );
-        (report, checkpoints)
+            checkpoint.as_deref(),
+        ))
     });
     (bound, handle)
 }
@@ -148,10 +173,12 @@ fn tcp_and_unix_verdicts_match_file_ingest_at_every_thread_count() {
     for threads in [1usize, 2, 4] {
         let unix = Endpoint::Unix(unix_path(&format!("det{threads}")));
         for endpoint in [Endpoint::Tcp("127.0.0.1:0".to_string()), unix] {
+            let stop = stop_flag();
             let (bound, daemon) =
-                spawn_daemon(&endpoint, threads, None, Duration::from_secs(5), None);
+                spawn_daemon(&endpoint, threads, None, Duration::from_secs(5), stop, None);
             send_all(&bound, &bytes, Duration::from_secs(5));
-            let (report, _) = daemon.join().expect("daemon must not panic");
+            stop.store(true, Ordering::SeqCst);
+            let report = daemon.join().expect("daemon must not panic");
             let verdict = report.unwrap().verdict.to_json_extended();
             assert_eq!(
                 modulo_markers(&verdict),
@@ -162,32 +189,64 @@ fn tcp_and_unix_verdicts_match_file_ingest_at_every_thread_count() {
     }
 }
 
-/// Wraps a socket source and fails with `BrokenPipe` once `cut_at` canonical
-/// bytes have been served — `supervise` dies exactly as if the daemon process
-/// were SIGKILLed mid-stream, with the listener torn down.
-struct DyingSource {
-    inner: SocketSource,
+/// A tenant sink that dies on the DATA frame that would bring its committed
+/// bytes to `cut_at`, so the stream is never acked past the crash point.
+struct DyingSink {
     served: u64,
     cut_at: u64,
+    dead: bool,
 }
 
-impl TraceSource for DyingSource {
-    fn next_chunk(&mut self) -> io::Result<Option<&[u8]>> {
-        if self.served >= self.cut_at {
+impl TenantSink for DyingSink {
+    fn open(&mut self, _tenant: u64) -> io::Result<()> {
+        Ok(())
+    }
+
+    fn data(&mut self, _tenant: u64, bytes: &[u8]) -> io::Result<()> {
+        if self.served + bytes.len() as u64 >= self.cut_at {
+            self.dead = true;
             return Err(io::Error::new(
                 io::ErrorKind::BrokenPipe,
                 "simulated daemon crash",
             ));
         }
-        let chunk = self.inner.next_chunk()?;
-        if let Some(c) = &chunk {
-            self.served += c.len() as u64;
-        }
-        Ok(chunk)
+        self.served += bytes.len() as u64;
+        Ok(())
     }
 
-    fn take_transport_events(&mut self) -> Vec<TransportEvent> {
-        self.inner.take_transport_events()
+    fn event(&mut self, _tenant: u64, _event: TransportEvent) {}
+
+    fn close(&mut self, _tenant: u64) {}
+
+    fn staged(&self, _tenant: u64) -> u64 {
+        0
+    }
+}
+
+/// Serves one producer until `cut_at` canonical bytes are due, then returns
+/// `BrokenPipe` and drops the server without a GOODBYE — the daemon dies
+/// exactly as if its process were SIGKILLed mid-stream, with the listener
+/// torn down.
+fn serve_until_crash(listener: Listener, cut_at: u64) -> io::Result<()> {
+    let mut server = solo_server(listener, Duration::from_secs(5));
+    let mut sink = DyingSink {
+        served: 0,
+        cut_at,
+        dead: false,
+    };
+    loop {
+        let poll = server.poll(&mut sink)?;
+        if sink.dead {
+            return Err(io::Error::new(
+                io::ErrorKind::BrokenPipe,
+                "simulated daemon crash",
+            ));
+        }
+        match poll {
+            ServerPoll::Done => return Ok(()),
+            ServerPoll::Busy => {}
+            ServerPoll::Idle => thread::sleep(server.poll_interval()),
+        }
     }
 }
 
@@ -195,27 +254,47 @@ impl TraceSource for DyingSource {
 fn kill_daemon_mid_stream_then_reconnect_resumes_from_every_checkpoint() {
     let bytes = sample_trace();
     let configuration = Configuration::unprotected();
+    // Checkpoints are a pure function of the stream, so the file ingest
+    // publishes exactly the sequence a socket run publishes.
+    let mut checkpoints = Vec::new();
     let baseline = supervise(
         SliceSource::new(&bytes),
         &configuration,
         &opts(2, None),
-        &mut |_| Ok(()),
+        &mut |cp| {
+            checkpoints.push(*cp);
+            Ok(())
+        },
     )
     .unwrap()
     .verdict
     .to_json_extended();
 
-    // Uninterrupted socket run, collecting every published checkpoint.
+    // Uninterrupted socket run; its last published checkpoint must be the
+    // file ingest's.
     let path = unix_path("ckpt");
     let endpoint = Endpoint::Unix(path.clone());
-    let (bound, daemon) = spawn_daemon(&endpoint, 2, None, Duration::from_secs(5), None);
+    let cp_path = unix_path("ckpt.json");
+    let stop = stop_flag();
+    let (bound, daemon) = spawn_daemon(
+        &endpoint,
+        2,
+        None,
+        Duration::from_secs(5),
+        stop,
+        Some(cp_path.clone()),
+    );
     send_all(&bound, &bytes, Duration::from_secs(5));
-    let (report, checkpoints) = daemon.join().expect("daemon must not panic");
+    stop.store(true, Ordering::SeqCst);
+    let report = daemon.join().expect("daemon must not panic");
     report.unwrap();
     assert!(
         !checkpoints.is_empty(),
         "the run must publish at least one checkpoint"
     );
+    let published = Checkpoint::parse(&std::fs::read_to_string(&cp_path).unwrap()).unwrap();
+    std::fs::remove_file(&cp_path).unwrap();
+    assert_eq!(Some(&published), checkpoints.last());
 
     // Crash the daemon mid-stream, then restart it with --resume semantics
     // from each checkpoint in turn; the retrying client reconnects to the
@@ -223,19 +302,7 @@ fn kill_daemon_mid_stream_then_reconnect_resumes_from_every_checkpoint() {
     // deterministic prefix re-execution.
     for cp in checkpoints {
         let listener = Listener::bind(&endpoint).unwrap();
-        let configuration = Configuration::unprotected();
-        let crashing = thread::spawn(move || {
-            supervise(
-                DyingSource {
-                    inner: SocketSource::new(listener, policy(Duration::from_secs(5))),
-                    served: 0,
-                    cut_at: cp.source_offset,
-                },
-                &configuration,
-                &opts(2, None),
-                &mut |_| Ok(()),
-            )
-        });
+        let crashing = thread::spawn(move || serve_until_crash(listener, cp.source_offset));
 
         let client_endpoint = endpoint.clone();
         let client_bytes = bytes.clone();
@@ -248,9 +315,11 @@ fn kill_daemon_mid_stream_then_reconnect_resumes_from_every_checkpoint() {
         let crashed = crashing.join().expect("crashing daemon must not panic");
         assert!(crashed.is_err(), "the cut source must kill the first run");
 
-        let (_, daemon) = spawn_daemon(&endpoint, 2, Some(cp), Duration::from_secs(5), None);
+        let stop = stop_flag();
+        let (_, daemon) = spawn_daemon(&endpoint, 2, Some(cp), Duration::from_secs(5), stop, None);
         client.join().expect("client must not panic");
-        let (report, _) = daemon.join().expect("resumed daemon must not panic");
+        stop.store(true, Ordering::SeqCst);
+        let report = daemon.join().expect("resumed daemon must not panic");
         let verdict = report.unwrap().verdict.to_json_extended();
         assert!(
             verdict.contains("\"kind\": \"resume\""),
@@ -272,7 +341,7 @@ fn graceful_drain_publishes_goodbye_and_conn_drain_marker() {
     DRAIN.store(false, Ordering::SeqCst);
 
     let endpoint = Endpoint::Unix(unix_path("drain"));
-    let (bound, daemon) = spawn_daemon(&endpoint, 1, None, Duration::from_secs(10), Some(&DRAIN));
+    let (bound, daemon) = spawn_daemon(&endpoint, 1, None, Duration::from_secs(10), &DRAIN, None);
 
     // Follow mode: the client delivers everything but never FINs, so the
     // session is still open when the drain lands.
@@ -300,7 +369,7 @@ fn graceful_drain_publishes_goodbye_and_conn_drain_marker() {
     assert!(!outcome.complete, "no FIN was ever acked");
     assert_eq!(outcome.acked, bytes.len() as u64);
 
-    let (report, _) = daemon.join().expect("daemon must not panic");
+    let report = daemon.join().expect("daemon must not panic");
     let report = report.unwrap();
     assert_eq!(report.records, RECORDS, "every record arrived before drain");
     let verdict = report.verdict.to_json_extended();
@@ -342,10 +411,15 @@ fn strict_mode_decode_errors_over_sockets_report_offset_and_frame() {
     let endpoint = Endpoint::Unix(unix_path("strict"));
     let listener = Listener::bind(&endpoint).unwrap();
     let bound = listener.local_endpoint().unwrap();
+    let stop = stop_flag();
     let server = thread::spawn(move || {
-        let source = SocketSource::new(listener, policy(Duration::from_secs(5)));
-        TraceReader::with_mode(source, DecodeMode::Strict)
-            .and_then(|mut r| r.read_all())
+        let mut server = solo_server(listener, Duration::from_secs(5)).with_drain_flag(stop);
+        let configuration = Configuration::unprotected();
+        let strict = DaemonOptions {
+            resync: false,
+            ..opts(1, None)
+        };
+        tenant_one(serve_tenants(&mut server, &configuration, &strict, None))
             .expect_err("corruption must fail a strict decode over the socket")
             .to_string()
     });
@@ -361,8 +435,9 @@ fn strict_mode_decode_errors_over_sockets_report_offset_and_frame() {
         };
         let _ = send_to(&bound, &mut input, &options);
     });
-    let socket_err = server.join().expect("server must not panic");
     client.join().expect("client must not panic");
+    stop.store(true, Ordering::SeqCst);
+    let socket_err = server.join().expect("server must not panic");
     assert_eq!(
         socket_err, file_err,
         "socket-fed strict errors must carry the same absolute position"

@@ -1352,9 +1352,10 @@ mod tests {
 
     // --- connection-level faults ---
 
+    use crate::transport::tests::{serve_until_done, TestSink};
     use crate::transport::{
-        send_stream, Endpoint, Listener, MemInput, SendOptions, SocketSource, SocketTuning,
-        WireLink,
+        send_stream, Endpoint, Listener, MemInput, SendOptions, SocketTuning, TenantLimits,
+        TenantServer, WireLink,
     };
     use std::thread;
     use std::time::Duration;
@@ -1376,16 +1377,21 @@ mod tests {
             idle_limit: idle,
             ..fast_policy()
         };
+        let server = TenantServer::new(
+            listener,
+            policy,
+            TenantLimits {
+                max_clients: 1,
+                ..TenantLimits::default()
+            },
+        )
+        .with_tuning(SocketTuning {
+            ack_every: 1024,
+            ..SocketTuning::default()
+        });
         let handle = thread::spawn(move || {
-            let mut src = SocketSource::new(listener, policy).with_tuning(SocketTuning {
-                ack_every: 1024,
-                ..SocketTuning::default()
-            });
-            let mut out = Vec::new();
-            while let Some(chunk) = src.next_chunk().unwrap() {
-                out.extend_from_slice(chunk);
-            }
-            out
+            let mut sink = serve_until_done(server, TestSink::default());
+            sink.data.remove(&1).unwrap_or_default()
         });
         (endpoint, handle)
     }

@@ -46,6 +46,6 @@ pub use source::{
 pub use trace::MemoryAccess;
 pub use transport::{
     send_stream, send_to, ClientLink, Endpoint, FileInput, Handshake, Listener, MemInput,
-    ReaderInput, SendInput, SendOptions, SendOutcome, ServerPoll, ServerReply, SocketSource,
-    SocketTuning, TenantLimits, TenantServer, TenantSink, Wire, WireLink,
+    ReaderInput, SendInput, SendOptions, SendOutcome, ServerPoll, ServerReply, SocketTuning,
+    TenantLimits, TenantServer, TenantSink, Wire, WireLink,
 };

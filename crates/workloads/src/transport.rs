@@ -59,7 +59,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use crate::source::{DisconnectReason, FollowPolicy, TraceSource, TransportEvent};
+use crate::source::{DisconnectReason, FollowPolicy, TransportEvent};
 
 /// Magic leading a client HELLO.
 pub const HELLO_MAGIC: [u8; 4] = *b"IMPS";
@@ -243,7 +243,7 @@ impl Wire {
     }
 }
 
-/// A bound, non-blocking accept socket for [`SocketSource`].
+/// A bound, non-blocking accept socket for [`TenantServer`].
 #[derive(Debug)]
 pub enum Listener {
     /// Bound TCP listener.
@@ -352,7 +352,7 @@ fn data_frame(offset: u64, payload: &[u8]) -> Vec<u8> {
     b
 }
 
-/// Tuning knobs for [`SocketSource`] beyond the reconnect policy.
+/// Tuning knobs for [`TenantServer`] beyond the reconnect policy.
 #[derive(Debug, Clone, Copy)]
 pub struct SocketTuning {
     /// Send an ACK each time this many new canonical bytes commit.
@@ -422,459 +422,6 @@ fn parse_frame(b: &[u8]) -> Result<Option<(Frame, usize)>, ()> {
             Ok(Some((Frame::Fin { total }, 9)))
         }
         _ => Err(()),
-    }
-}
-
-struct ServerConn {
-    wire: Wire,
-    session: u64,
-    rbuf: Vec<u8>,
-    rat: usize,
-    idle: Duration,
-    last_ack: u64,
-}
-
-impl ServerConn {
-    fn new(wire: Wire, session: u64, committed: u64) -> Self {
-        Self {
-            wire,
-            session,
-            rbuf: Vec::with_capacity(64 * 1024),
-            rat: 0,
-            idle: Duration::ZERO,
-            last_ack: committed,
-        }
-    }
-
-    fn avail(&self) -> usize {
-        self.rbuf.len() - self.rat
-    }
-
-    /// Parses one complete frame at the cursor, if buffered. For DATA the
-    /// returned range indexes `rbuf` and stays valid until the next
-    /// `read_more` (which compacts). `Err(())` is a protocol violation.
-    fn try_frame(&mut self) -> Result<Option<Frame>, ()> {
-        match parse_frame(&self.rbuf[self.rat..])? {
-            None => Ok(None),
-            Some((mut frame, consumed)) => {
-                if let Frame::Data { start, .. } = &mut frame {
-                    *start += self.rat;
-                }
-                self.rat += consumed;
-                Ok(Some(frame))
-            }
-        }
-    }
-
-    /// Compacts consumed bytes, then appends whatever arrives within
-    /// `timeout`. `Ok(0)` is EOF; timeouts surface as `WouldBlock`/`TimedOut`.
-    fn read_more(&mut self, timeout: Duration) -> io::Result<usize> {
-        if self.rat > 0 {
-            self.rbuf.drain(..self.rat);
-            self.rat = 0;
-        }
-        self.wire.set_read_timeout(Some(timeout))?;
-        let mut scratch = [0u8; 16 * 1024];
-        let n = self.wire.read(&mut scratch)?;
-        self.rbuf.extend_from_slice(&scratch[..n]);
-        Ok(n)
-    }
-
-    fn send_ack(&mut self, committed: u64) -> io::Result<()> {
-        self.last_ack = committed;
-        self.wire.write_all(&tagged_u64(TAG_ACK, committed))
-    }
-}
-
-/// A [`TraceSource`] fed by a socket accept loop with session resume.
-///
-/// The source owns a bound [`Listener`] and supervises one producer
-/// connection at a time: handshake (offset negotiation), per-read timeouts
-/// with heartbeat/idle detection, dedup-by-offset so retransmitted bytes
-/// never reach the codec twice, acks every [`SocketTuning::ack_every`]
-/// committed bytes, and accept-loop reconnect supervision driven by
-/// [`FollowPolicy`]'s capped exponential backoff. Staging is bounded by one
-/// DATA frame ([`MAX_DATA_BYTES`]).
-///
-/// Every disconnect, stall, resumed session, duplicate drop, and graceful
-/// drain is recorded as a [`TransportEvent`] and drained via
-/// [`TraceSource::take_transport_events`].
-#[derive(Debug)]
-pub struct SocketSource {
-    listener: Listener,
-    policy: FollowPolicy,
-    tuning: SocketTuning,
-    #[allow(clippy::struct_field_names)]
-    conn: Option<ServerConnBox>,
-    stage: Vec<u8>,
-    events: Vec<TransportEvent>,
-    committed: u64,
-    sessions: u64,
-    finished: bool,
-    drained: bool,
-    drain: Option<&'static AtomicBool>,
-}
-
-// Keeps SocketSource's Debug derive happy without exposing conn internals.
-struct ServerConnBox(ServerConn);
-
-impl fmt::Debug for ServerConnBox {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ServerConn")
-            .field("session", &self.0.session)
-            .field("buffered", &self.0.avail())
-            .finish()
-    }
-}
-
-impl SocketSource {
-    /// Wraps a bound listener with reconnect policy `policy`.
-    pub fn new(listener: Listener, policy: FollowPolicy) -> Self {
-        Self {
-            listener,
-            policy,
-            tuning: SocketTuning::default(),
-            conn: None,
-            stage: Vec::new(),
-            events: Vec::new(),
-            committed: 0,
-            sessions: 0,
-            finished: false,
-            drained: false,
-            drain: None,
-        }
-    }
-
-    /// Overrides ack cadence / handshake deadline.
-    #[must_use]
-    pub fn with_tuning(mut self, tuning: SocketTuning) -> Self {
-        self.tuning = tuning;
-        self
-    }
-
-    /// Installs a drain flag: once it reads `true`, the source sends a
-    /// protocol GOODBYE to any connected client and reports end-of-stream,
-    /// letting the daemon finish the in-flight batch and emit its verdict.
-    /// (`&'static` so a signal handler can own the flag; leak one with
-    /// `Box::leak` in tests.)
-    #[must_use]
-    pub fn with_drain_flag(mut self, flag: &'static AtomicBool) -> Self {
-        self.drain = Some(flag);
-        self
-    }
-
-    /// The endpoint actually bound (resolves TCP port 0).
-    ///
-    /// # Errors
-    ///
-    /// Propagates `local_addr` errors.
-    pub fn local_endpoint(&self) -> io::Result<Endpoint> {
-        self.listener.local_endpoint()
-    }
-
-    /// Canonical bytes committed (delivered to the codec) so far.
-    pub fn committed(&self) -> u64 {
-        self.committed
-    }
-
-    /// Number of producer sessions accepted so far.
-    pub fn sessions(&self) -> u64 {
-        self.sessions
-    }
-
-    fn drain_requested(&self) -> bool {
-        self.drain.is_some_and(|f| f.load(Ordering::SeqCst))
-    }
-
-    fn poll_interval(&self) -> Duration {
-        (self.policy.idle_limit / 50).clamp(Duration::from_millis(1), Duration::from_millis(25))
-    }
-
-    fn drop_conn(&mut self, reason: DisconnectReason) {
-        if let Some(conn) = self.conn.take() {
-            let _ = conn.0.wire.shutdown();
-            self.events.push(TransportEvent::Disconnected {
-                session: conn.0.session,
-                offset: self.committed,
-                reason,
-            });
-        }
-    }
-
-    fn goodbye(&mut self) {
-        if let Some(mut conn) = self.conn.take() {
-            let _ = conn
-                .0
-                .wire
-                .write_all(&tagged_u64(TAG_GOODBYE, self.committed));
-            let _ = conn.0.wire.shutdown();
-        }
-        if !self.drained {
-            self.drained = true;
-            self.events.push(TransportEvent::Drained {
-                offset: self.committed,
-            });
-        }
-        self.finished = true;
-    }
-
-    /// Waits for a producer to connect and complete the handshake. Returns
-    /// `false` on idle-out (no producer within `idle_limit`) or when a drain
-    /// was requested mid-wait.
-    fn accept_session(&mut self) -> io::Result<bool> {
-        let mut idle = Duration::ZERO;
-        let mut backoff = self.policy.initial_backoff;
-        loop {
-            if self.drain_requested() {
-                return Ok(false);
-            }
-            match self.listener.accept()? {
-                Some(wire) => {
-                    self.sessions += 1;
-                    let session = self.sessions;
-                    match self.handshake_server(wire, session) {
-                        Ok(conn) => {
-                            if session > 1 || self.committed > 0 {
-                                self.events.push(TransportEvent::SessionResumed {
-                                    session,
-                                    offset: self.committed,
-                                });
-                            }
-                            self.conn = Some(ServerConnBox(conn));
-                            return Ok(true);
-                        }
-                        Err(reason) => {
-                            self.events.push(TransportEvent::Disconnected {
-                                session,
-                                offset: self.committed,
-                                reason,
-                            });
-                            // Keep waiting for a well-behaved producer.
-                        }
-                    }
-                }
-                None => {
-                    if idle >= self.policy.idle_limit {
-                        return Ok(false);
-                    }
-                    std::thread::sleep(backoff);
-                    idle += backoff;
-                    backoff = (backoff * 2).min(self.policy.max_backoff);
-                }
-            }
-        }
-    }
-
-    /// Reads and validates the 16-byte HELLO, replies with the committed
-    /// offset. On failure returns the disconnect reason for the ledger.
-    fn handshake_server(
-        &self,
-        mut wire: Wire,
-        session: u64,
-    ) -> Result<ServerConn, DisconnectReason> {
-        let mut hello = [0u8; HANDSHAKE_BYTES];
-        let mut got = 0;
-        let deadline = Instant::now() + self.tuning.handshake_timeout;
-        let poll = self.poll_interval();
-        while got < HANDSHAKE_BYTES {
-            if wire.set_read_timeout(Some(poll)).is_err() {
-                return Err(DisconnectReason::Io);
-            }
-            match wire.read(&mut hello[got..]) {
-                Ok(0) => return Err(DisconnectReason::Eof),
-                Ok(n) => got += n,
-                Err(e) if is_timeout(&e) => {
-                    if Instant::now() >= deadline {
-                        return Err(DisconnectReason::Stall);
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => return Err(DisconnectReason::Io),
-            }
-        }
-        if hello[..4] != HELLO_MAGIC {
-            return Err(DisconnectReason::Protocol);
-        }
-        let version = u16::from_le_bytes(hello[4..6].try_into().unwrap());
-        if version != TRANSPORT_VERSION {
-            let _ = wire.write_all(&reply_bytes(STATUS_BAD_VERSION, self.committed, 0));
-            return Err(DisconnectReason::Protocol);
-        }
-        // A single-pipeline source serves exactly one tenant: echo a
-        // presented token, or assign 1 to a fresh producer.
-        let tenant = u64::from_le_bytes(hello[16..24].try_into().unwrap()).max(1);
-        if wire
-            .write_all(&reply_bytes(STATUS_OK, self.committed, tenant))
-            .is_err()
-        {
-            return Err(DisconnectReason::Io);
-        }
-        Ok(ServerConn::new(wire, session, self.committed))
-    }
-
-    /// Commits one DATA frame: trims or drops bytes the server already
-    /// committed, stages the new suffix. Returns `true` if bytes were staged.
-    fn stage_data(&mut self, offset: u64, start: usize, len: usize) -> bool {
-        let Self {
-            conn,
-            stage,
-            events,
-            committed,
-            tuning,
-            ..
-        } = self;
-        let conn = &mut conn.as_mut().expect("connection present").0;
-        let Some(end) = offset.checked_add(len as u64) else {
-            // Offset arithmetic overflow is a protocol violation.
-            drop_conn_inline(conn, events, *committed, DisconnectReason::Protocol);
-            self.conn = None;
-            return false;
-        };
-        if offset > *committed {
-            // A gap means lost bytes we never acked: force a reconnect so the
-            // client reseeks to the committed offset.
-            drop_conn_inline(conn, events, *committed, DisconnectReason::Protocol);
-            self.conn = None;
-            return false;
-        }
-        let skip = (*committed - offset) as usize;
-        if skip >= len {
-            events.push(TransportEvent::DuplicateDropped {
-                session: conn.session,
-                offset: *committed,
-                bytes: len as u64,
-            });
-            // Re-ack so a client that missed the original ack advances.
-            if conn.send_ack(*committed).is_err() {
-                drop_conn_inline(conn, events, *committed, DisconnectReason::Io);
-                self.conn = None;
-            }
-            return false;
-        }
-        if skip > 0 {
-            events.push(TransportEvent::DuplicateDropped {
-                session: conn.session,
-                offset: *committed,
-                bytes: skip as u64,
-            });
-        }
-        stage.clear();
-        stage.extend_from_slice(&conn.rbuf[start + skip..start + len]);
-        *committed = end;
-        let ack_due = *committed - conn.last_ack >= tuning.ack_every;
-        if ack_due && conn.send_ack(*committed).is_err() {
-            drop_conn_inline(conn, events, *committed, DisconnectReason::Io);
-            self.conn = None;
-        }
-        true
-    }
-
-    fn handle_fin(&mut self, total: u64) {
-        if total == self.committed {
-            if let Some(conn) = self.conn.as_mut() {
-                let _ = conn.0.send_ack(total);
-            }
-            self.conn = None;
-            self.finished = true;
-        } else {
-            // The client believes a different amount was delivered; force a
-            // resync through reconnect.
-            self.drop_conn(DisconnectReason::Protocol);
-        }
-    }
-
-    fn pump(&mut self) -> io::Result<()> {
-        let poll = self.poll_interval();
-        let idle_limit = self.policy.idle_limit;
-        let committed = self.committed;
-        let reason = {
-            let conn = &mut self.conn.as_mut().expect("connection present").0;
-            match conn.read_more(poll) {
-                Ok(0) => Some(DisconnectReason::Eof),
-                Ok(_) => {
-                    conn.idle = Duration::ZERO;
-                    None
-                }
-                Err(e) if is_timeout(&e) => {
-                    conn.idle += poll;
-                    // A quiet producer may be blocked on flow control with a
-                    // send window smaller than our ack cadence; flush the ack
-                    // for whatever is committed so it can make progress.
-                    if committed > conn.last_ack {
-                        let _ = conn.send_ack(committed);
-                    }
-                    if conn.idle >= idle_limit {
-                        Some(DisconnectReason::Stall)
-                    } else {
-                        None
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => None,
-                Err(_) => Some(DisconnectReason::Io),
-            }
-        };
-        if let Some(reason) = reason {
-            self.drop_conn(reason);
-        }
-        Ok(())
-    }
-}
-
-fn drop_conn_inline(
-    conn: &mut ServerConn,
-    events: &mut Vec<TransportEvent>,
-    committed: u64,
-    reason: DisconnectReason,
-) {
-    let _ = conn.wire.shutdown();
-    events.push(TransportEvent::Disconnected {
-        session: conn.session,
-        offset: committed,
-        reason,
-    });
-}
-
-impl TraceSource for SocketSource {
-    fn next_chunk(&mut self) -> io::Result<Option<&[u8]>> {
-        loop {
-            if self.drain_requested() && !self.finished {
-                self.goodbye();
-                return Ok(None);
-            }
-            if self.finished {
-                return Ok(None);
-            }
-            if self.conn.is_none() {
-                if self.accept_session()? {
-                    continue;
-                }
-                if self.drain_requested() {
-                    continue; // goodbye at loop top
-                }
-                return Ok(None); // idled out with no producer
-            }
-            let parsed = self
-                .conn
-                .as_mut()
-                .expect("connection present")
-                .0
-                .try_frame();
-            match parsed {
-                Ok(Some(Frame::Data { offset, start, len })) => {
-                    if self.stage_data(offset, start, len) {
-                        return Ok(Some(&self.stage));
-                    }
-                }
-                Ok(Some(Frame::Heartbeat)) => {}
-                Ok(Some(Frame::Fin { total })) => self.handle_fin(total),
-                Ok(None) => self.pump()?,
-                Err(()) => self.drop_conn(DisconnectReason::Protocol),
-            }
-        }
-    }
-
-    fn take_transport_events(&mut self) -> Vec<TransportEvent> {
-        std::mem::take(&mut self.events)
     }
 }
 
@@ -1648,8 +1195,8 @@ impl Default for TenantLimits {
 /// The simulator side implements this by binding each tenant to its own
 /// ingest pipeline (own `System`, fault ledger, checkpoint file, verdict).
 /// The server guarantees `data` for a tenant carries exactly its canonical
-/// byte stream, in order, deduplicated — identical to what a solo
-/// [`SocketSource`] would deliver for that producer.
+/// byte stream, in order, deduplicated — identical to the producer's input
+/// file, whatever reconnects or retransmissions happened on the wire.
 pub trait TenantSink {
     /// A new tenant was admitted. An error refuses the admission (the
     /// producer gets a BUSY reject).
@@ -1751,11 +1298,12 @@ struct TenantMeta {
 /// A poll-based multi-tenant accept loop: many concurrent producer
 /// sessions, each bound to its own tenant pipeline through a [`TenantSink`].
 ///
-/// Replaces [`SocketSource`]'s one-session-at-a-time supervision for
-/// listening daemons. Every connection runs a non-blocking state machine
-/// (pending handshake → live session); per-tenant commit/dedup logic is
-/// identical to the solo path, so each tenant's canonical byte stream — and
-/// therefore its verdict — is independent of whoever else is connected.
+/// The one socket server: a listening daemon runs it for any number of
+/// producers, and a solo one is simply `max_clients = 1`. Every connection
+/// runs a non-blocking state machine (pending handshake → live session);
+/// commit/dedup state is per tenant, so each tenant's canonical byte
+/// stream — and therefore its verdict — is independent of whoever else is
+/// connected.
 ///
 /// Robustness machinery: admission control with typed BUSY rejects
 /// ([`TenantLimits::max_clients`], bounded pending-accept queue), per-tenant
@@ -2314,8 +1862,8 @@ enum CommitOutcome {
 
 /// Commits one DATA frame for a tenant: trims or drops bytes the server
 /// already committed, forwards the new suffix to the sink, acks on cadence.
-/// Mirrors [`SocketSource::stage_data`] so a tenant's canonical stream is
-/// identical to the solo path.
+/// This is the only commit path, so a tenant's canonical stream is the
+/// producer's input byte for byte.
 fn commit_data(
     meta: &mut TenantMeta,
     conn: &mut MultiConn,
@@ -2392,10 +1940,63 @@ fn commit_data(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::collections::BTreeMap;
     use std::sync::atomic::AtomicBool;
     use std::thread;
+
+    /// Collects every tenant's committed bytes, events and close order.
+    #[derive(Debug, Default)]
+    pub(crate) struct TestSink {
+        pub(crate) data: BTreeMap<u64, Vec<u8>>,
+        pub(crate) events: BTreeMap<u64, Vec<TransportEvent>>,
+        pub(crate) closed: Vec<u64>,
+        /// Signalled on every ledgered disconnect.
+        pub(crate) on_disconnect: Option<std::sync::mpsc::Sender<()>>,
+    }
+
+    impl TenantSink for TestSink {
+        fn open(&mut self, tenant: u64) -> io::Result<()> {
+            self.data.entry(tenant).or_default();
+            Ok(())
+        }
+
+        fn data(&mut self, tenant: u64, bytes: &[u8]) -> io::Result<()> {
+            self.data
+                .get_mut(&tenant)
+                .expect("opened")
+                .extend_from_slice(bytes);
+            Ok(())
+        }
+
+        fn event(&mut self, tenant: u64, event: TransportEvent) {
+            if let (TransportEvent::Disconnected { .. }, Some(tx)) = (&event, &self.on_disconnect) {
+                let _ = tx.send(());
+            }
+            self.events.entry(tenant).or_default().push(event);
+        }
+
+        fn close(&mut self, tenant: u64) {
+            self.closed.push(tenant);
+        }
+
+        fn staged(&self, _tenant: u64) -> u64 {
+            0
+        }
+    }
+
+    /// Polls `server` until it reports done, then drops it (unlinking a Unix
+    /// socket path) and returns the sink.
+    pub(crate) fn serve_until_done(mut server: TenantServer, mut sink: TestSink) -> TestSink {
+        loop {
+            match server.poll(&mut sink).unwrap() {
+                ServerPoll::Busy => {}
+                ServerPoll::Idle => thread::sleep(server.poll_interval()),
+                ServerPoll::Done => return sink,
+            }
+        }
+    }
 
     fn fast_policy() -> FollowPolicy {
         FollowPolicy {
@@ -2405,12 +2006,28 @@ mod tests {
         }
     }
 
-    fn drain_all(src: &mut SocketSource) -> Vec<u8> {
-        let mut out = Vec::new();
-        while let Some(c) = src.next_chunk().unwrap() {
-            out.extend_from_slice(c);
+    fn quick_policy() -> FollowPolicy {
+        FollowPolicy {
+            initial_backoff: Duration::from_millis(1),
+            max_backoff: Duration::from_millis(5),
+            idle_limit: Duration::from_millis(400),
         }
-        out
+    }
+
+    /// A server admitting one producer at a time.
+    fn solo_server(endpoint: &Endpoint, policy: FollowPolicy) -> TenantServer {
+        TenantServer::new(
+            Listener::bind(endpoint).unwrap(),
+            policy,
+            TenantLimits {
+                max_clients: 1,
+                ..TenantLimits::default()
+            },
+        )
+    }
+
+    fn tcp_any() -> Endpoint {
+        Endpoint::parse("tcp://127.0.0.1:0").unwrap()
     }
 
     fn unix_path(tag: &str) -> PathBuf {
@@ -2437,67 +2054,9 @@ mod tests {
     }
 
     #[test]
-    fn loopback_tcp_roundtrip_with_fin() {
-        let listener = Listener::bind(&Endpoint::parse("tcp://127.0.0.1:0").unwrap()).unwrap();
-        let ep = listener.local_endpoint().unwrap();
-        let mut src = SocketSource::new(listener, fast_policy());
-        let payload: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
-        let expect = payload.clone();
-        let client = thread::spawn(move || {
-            let mut input = MemInput::new(payload);
-            let options = SendOptions {
-                policy: fast_policy(),
-                data_bytes: 4096,
-                ..SendOptions::default()
-            };
-            send_to(&ep, &mut input, &options).unwrap()
-        });
-        let got = drain_all(&mut src);
-        let outcome = client.join().unwrap();
-        assert_eq!(got, expect);
-        assert!(outcome.complete);
-        assert_eq!(outcome.sessions, 1);
-        assert_eq!(outcome.acked, expect.len() as u64);
-        assert!(src.take_transport_events().is_empty());
-    }
-
-    #[test]
-    fn loopback_unix_roundtrip_with_fin() {
-        let path = unix_path("unix-roundtrip");
-        let listener = Listener::bind(&Endpoint::Unix(path.clone())).unwrap();
-        let ep = listener.local_endpoint().unwrap();
-        let mut src = SocketSource::new(listener, fast_policy());
-        let payload: Vec<u8> = (0..40_000u32).map(|i| (i % 241) as u8).collect();
-        let expect = payload.clone();
-        let client = thread::spawn(move || {
-            let mut input = MemInput::new(payload);
-            send_to(
-                &ep,
-                &mut input,
-                &SendOptions {
-                    policy: fast_policy(),
-                    data_bytes: 1000,
-                    ..SendOptions::default()
-                },
-            )
-            .unwrap()
-        });
-        let got = drain_all(&mut src);
-        assert!(client.join().unwrap().complete);
-        assert_eq!(got, expect);
-        assert!(
-            !path.exists() || {
-                drop(src);
-                !path.exists()
-            }
-        );
-    }
-
-    #[test]
     fn server_dedups_retransmitted_bytes() {
-        let listener = Listener::bind(&Endpoint::parse("tcp://127.0.0.1:0").unwrap()).unwrap();
-        let ep = listener.local_endpoint().unwrap();
-        let mut src = SocketSource::new(listener, fast_policy());
+        let server = solo_server(&tcp_any(), quick_policy());
+        let ep = server.local_endpoint().unwrap();
         let client = thread::spawn(move || {
             let mut link = WireLink::connect(&ep).unwrap();
             let hs = link.handshake(0, 0, Duration::from_secs(5)).unwrap();
@@ -2517,12 +2076,12 @@ mod tests {
                 }
             }
         });
-        let got = drain_all(&mut src);
+        let sink = serve_until_done(server, TestSink::default());
         client.join().unwrap();
         let mut expect = vec![1u8; 100];
         expect.extend_from_slice(&[2u8; 60]);
-        assert_eq!(got, expect);
-        let events = src.take_transport_events();
+        assert_eq!(sink.data[&1], expect);
+        let events = &sink.events[&1];
         let dup_bytes: u64 = events
             .iter()
             .map(|e| match e {
@@ -2535,19 +2094,19 @@ mod tests {
 
     #[test]
     fn reconnect_resumes_from_committed_offset() {
-        let listener = Listener::bind(&Endpoint::parse("tcp://127.0.0.1:0").unwrap()).unwrap();
-        let ep = listener.local_endpoint().unwrap();
         // Tight ack cadence so session 1 can observe its prefix committing.
-        let mut src = SocketSource::new(listener, fast_policy()).with_tuning(SocketTuning {
+        let server = solo_server(&tcp_any(), quick_policy()).with_tuning(SocketTuning {
             ack_every: 1024,
             ..SocketTuning::default()
         });
+        let ep = server.local_endpoint().unwrap();
         let payload: Vec<u8> = (0..60_000u32).map(|i| (i % 239) as u8).collect();
         let expect = payload.clone();
+        let (disconnected, seen) = std::sync::mpsc::channel();
         let client = thread::spawn(move || {
             // Session 1: deliver a prefix, then vanish without FIN.
             let mut link = WireLink::connect(&ep).unwrap();
-            link.handshake(0, 0, Duration::from_secs(5)).unwrap();
+            let hs = link.handshake(0, 0, Duration::from_secs(5)).unwrap();
             link.send_data(0, &payload[..10_000]).unwrap();
             loop {
                 // Wait until the prefix is committed (acked) so the resume
@@ -2558,24 +2117,35 @@ mod tests {
                 }
             }
             drop(link);
-            // Session 2: announce a stale offset; the server's reply wins.
+            // Reconnect only once the server has seen the EOF; an earlier
+            // session 2 would supersede the connection instead.
+            seen.recv_timeout(Duration::from_secs(5)).unwrap();
+            // Session 2 rejoins the tenant announcing a stale offset; the
+            // server's reply wins.
             let mut input = MemInput::new(payload);
             send_to(
                 &ep,
                 &mut input,
                 &SendOptions {
-                    policy: fast_policy(),
+                    policy: quick_policy(),
                     data_bytes: 4096,
+                    tenant: hs.tenant,
                     ..SendOptions::default()
                 },
             )
             .unwrap()
         });
-        let got = drain_all(&mut src);
+        let sink = serve_until_done(
+            server,
+            TestSink {
+                on_disconnect: Some(disconnected),
+                ..TestSink::default()
+            },
+        );
         let outcome = client.join().unwrap();
-        assert_eq!(got, expect);
+        assert_eq!(sink.data[&1], expect);
         assert!(outcome.complete);
-        let events = src.take_transport_events();
+        let events = &sink.events[&1];
         assert!(
             events.iter().any(|e| matches!(
                 e,
@@ -2596,58 +2166,23 @@ mod tests {
 
     #[test]
     fn idle_listener_times_out_cleanly() {
-        let listener = Listener::bind(&Endpoint::parse("tcp://127.0.0.1:0").unwrap()).unwrap();
-        let mut src = SocketSource::new(
-            listener,
+        let server = solo_server(
+            &tcp_any(),
             FollowPolicy {
                 initial_backoff: Duration::from_millis(1),
                 max_backoff: Duration::from_millis(5),
                 idle_limit: Duration::from_millis(40),
             },
         );
-        assert!(src.next_chunk().unwrap().is_none());
-        assert!(src.take_transport_events().is_empty());
-    }
-
-    #[test]
-    fn drain_flag_sends_goodbye_and_ends_stream() {
-        let flag: &'static AtomicBool = Box::leak(Box::new(AtomicBool::new(false)));
-        let listener = Listener::bind(&Endpoint::parse("tcp://127.0.0.1:0").unwrap()).unwrap();
-        let ep = listener.local_endpoint().unwrap();
-        let mut src = SocketSource::new(listener, fast_policy()).with_drain_flag(flag);
-        let client = thread::spawn(move || {
-            let mut link = WireLink::connect(&ep).unwrap();
-            link.handshake(0, 0, Duration::from_secs(5)).unwrap();
-            link.send_data(0, &[7u8; 500]).unwrap();
-            // Heartbeat-idle until the goodbye arrives.
-            loop {
-                match link.recv_reply(Some(Duration::from_millis(20))).unwrap() {
-                    Some(ServerReply::Goodbye(g)) => return g,
-                    Some(ServerReply::Ack(_)) => {}
-                    None => link.send_heartbeat().unwrap(),
-                }
-            }
-        });
-        let first = src.next_chunk().unwrap().unwrap().to_vec();
-        assert_eq!(first, vec![7u8; 500]);
-        flag.store(true, Ordering::SeqCst);
-        assert!(src.next_chunk().unwrap().is_none());
-        let committed = client.join().unwrap();
-        assert_eq!(committed, 500);
-        let events = src.take_transport_events();
-        assert!(
-            events
-                .iter()
-                .any(|e| matches!(e, TransportEvent::Drained { offset: 500 })),
-            "events: {events:?}"
-        );
+        let sink = serve_until_done(server, TestSink::default());
+        assert!(sink.data.is_empty());
+        assert!(sink.events.is_empty());
     }
 
     #[test]
     fn follow_mode_sender_fins_after_input_goes_idle() {
-        let listener = Listener::bind(&Endpoint::parse("tcp://127.0.0.1:0").unwrap()).unwrap();
-        let ep = listener.local_endpoint().unwrap();
-        let mut src = SocketSource::new(listener, fast_policy());
+        let server = solo_server(&tcp_any(), quick_policy());
+        let ep = server.local_endpoint().unwrap();
         let client = thread::spawn(move || {
             let mut input = MemInput::new(vec![3u8; 2000]);
             send_to(
@@ -2666,9 +2201,9 @@ mod tests {
             )
             .unwrap()
         });
-        let got = drain_all(&mut src);
+        let sink = serve_until_done(server, TestSink::default());
         let outcome = client.join().unwrap();
-        assert_eq!(got.len(), 2000);
+        assert_eq!(sink.data[&1].len(), 2000);
         assert!(outcome.complete);
     }
 
@@ -2782,103 +2317,80 @@ mod tests {
 
     // -- multi-tenant server ------------------------------------------------
 
-    use std::collections::BTreeMap;
-
-    #[derive(Debug, Default)]
-    struct TestSink {
-        data: BTreeMap<u64, Vec<u8>>,
-        events: BTreeMap<u64, Vec<TransportEvent>>,
-        closed: Vec<u64>,
-    }
-
-    impl TenantSink for TestSink {
-        fn open(&mut self, tenant: u64) -> io::Result<()> {
-            self.data.entry(tenant).or_default();
-            Ok(())
-        }
-
-        fn data(&mut self, tenant: u64, bytes: &[u8]) -> io::Result<()> {
-            self.data
-                .get_mut(&tenant)
-                .expect("opened")
-                .extend_from_slice(bytes);
-            Ok(())
-        }
-
-        fn event(&mut self, tenant: u64, event: TransportEvent) {
-            self.events.entry(tenant).or_default().push(event);
-        }
-
-        fn close(&mut self, tenant: u64) {
-            self.closed.push(tenant);
-        }
-
-        fn staged(&self, _tenant: u64) -> u64 {
-            0
-        }
-    }
-
-    fn serve_until_done(mut server: TenantServer, mut sink: TestSink) -> TestSink {
-        loop {
-            match server.poll(&mut sink).unwrap() {
-                ServerPoll::Busy => {}
-                ServerPoll::Idle => thread::sleep(server.poll_interval()),
-                ServerPoll::Done => return sink,
-            }
-        }
-    }
-
-    fn quick_policy() -> FollowPolicy {
-        FollowPolicy {
-            initial_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(5),
-            idle_limit: Duration::from_millis(400),
-        }
-    }
-
-    #[test]
-    fn tenant_server_serves_concurrent_producers_in_isolation() {
-        let listener = Listener::bind(&Endpoint::parse("tcp://127.0.0.1:0").unwrap()).unwrap();
+    /// Streams `producers` concurrent payloads (producer 0 sends `len` bytes,
+    /// each later one 1000 more) in `data_bytes` DATA frames to a fresh
+    /// server on `endpoint`, and checks each arrives complete, in order and
+    /// isolated, in one FIN-terminated session with no transport events.
+    fn roundtrip_case(endpoint: Endpoint, producers: u8, len: usize, data_bytes: usize) {
+        let listener = Listener::bind(&endpoint).unwrap();
         let server = TenantServer::new(listener, quick_policy(), TenantLimits::default());
         let ep = server.local_endpoint().unwrap();
-        let clients: Vec<_> = (0..4u8)
+        // Producer i streams a distinct, position-dependent pattern, so a
+        // reordered, interleaved or truncated stream cannot match.
+        let payload = |i: u8| -> Vec<u8> {
+            (0..len + 1000 * i as usize)
+                .map(|j| (j % 241) as u8 ^ i)
+                .collect()
+        };
+        let clients: Vec<_> = (0..producers)
             .map(|i| {
                 let ep = ep.clone();
+                let bytes = payload(i);
                 thread::spawn(move || {
-                    let mut input = MemInput::new(vec![i + 1; 20_000 + 1000 * i as usize]);
-                    send_to(
+                    let mut input = MemInput::new(bytes);
+                    let outcome = send_to(
                         &ep,
                         &mut input,
                         &SendOptions {
                             policy: quick_policy(),
-                            data_bytes: 2048,
+                            data_bytes,
                             ..SendOptions::default()
                         },
                     )
-                    .unwrap()
+                    .unwrap();
+                    (i, outcome)
                 })
             })
             .collect();
         let sink = serve_until_done(server, TestSink::default());
         let mut tokens = Vec::new();
         for c in clients {
-            let outcome = c.join().unwrap();
-            assert!(outcome.complete);
+            let (i, outcome) = c.join().unwrap();
+            let expect = payload(i);
+            assert!(outcome.complete, "{endpoint}");
+            assert_eq!(outcome.sessions, 1, "{endpoint}");
+            assert_eq!(outcome.acked, expect.len() as u64, "{endpoint}");
+            // Each producer's stream arrives complete, in order, and
+            // untouched by the others.
+            assert_eq!(sink.data[&outcome.tenant], expect, "{endpoint}");
             tokens.push(outcome.tenant);
         }
         tokens.sort_unstable();
         tokens.dedup();
-        assert_eq!(tokens.len(), 4, "each producer got its own tenant token");
-        for token in tokens {
-            let bytes = &sink.data[&token];
-            // Every tenant's stream is uniform in its own fill byte: no
-            // cross-tenant interleaving, and each stream is complete.
-            assert!(!bytes.is_empty());
-            let fill = bytes[0];
-            assert!(bytes.iter().all(|&b| b == fill));
-            assert_eq!(bytes.len(), 20_000 + 1000 * (fill - 1) as usize);
-        }
-        assert_eq!(sink.closed.len(), 4);
+        assert_eq!(
+            tokens.len(),
+            producers as usize,
+            "each producer got its own tenant token"
+        );
+        assert_eq!(sink.closed.len(), producers as usize);
+        assert!(sink.events.is_empty(), "{endpoint}: {:?}", sink.events);
+    }
+
+    #[test]
+    fn loopback_tcp_roundtrip_with_fin() {
+        roundtrip_case(tcp_any(), 1, 100_000, 4096);
+    }
+
+    #[test]
+    fn loopback_unix_roundtrip_with_fin() {
+        let unix = unix_path("unix-roundtrip");
+        roundtrip_case(Endpoint::Unix(unix.clone()), 1, 40_000, 1000);
+        assert!(!unix.exists(), "dropping the server unlinks its socket");
+    }
+
+    #[test]
+    fn tenant_server_serves_concurrent_producers_in_isolation() {
+        roundtrip_case(tcp_any(), 4, 20_000, 2048);
     }
 
     #[test]
@@ -2988,23 +2500,29 @@ mod tests {
         assert!(sink.data[&hostile_token].is_empty());
     }
 
-    #[test]
-    fn tenant_server_drains_all_live_sessions_on_flag() {
+    /// Opens `producers` live sessions that each commit `len` bytes, raises
+    /// the drain flag, and checks every session gets a GOODBYE at `len` and
+    /// a ledgered drain before the server finishes.
+    fn drain_case(producers: u8, len: usize) {
         let flag: &'static AtomicBool = Box::leak(Box::new(AtomicBool::new(false)));
-        let listener = Listener::bind(&Endpoint::parse("tcp://127.0.0.1:0").unwrap()).unwrap();
-        let server = TenantServer::new(listener, quick_policy(), TenantLimits::default())
-            .with_drain_flag(flag);
+        let server = TenantServer::new(
+            Listener::bind(&tcp_any()).unwrap(),
+            quick_policy(),
+            TenantLimits::default(),
+        )
+        .with_drain_flag(flag);
         let ep = server.local_endpoint().unwrap();
         let server_thread = thread::spawn(move || serve_until_done(server, TestSink::default()));
-        let clients: Vec<_> = (0..3u8)
+        let clients: Vec<_> = (0..producers)
             .map(|i| {
                 let ep = ep.clone();
                 thread::spawn(move || {
                     let mut link = WireLink::connect(&ep).unwrap();
                     link.handshake(0, 0, Duration::from_secs(5)).unwrap();
-                    link.send_data(0, &[i + 1; 256]).unwrap();
+                    link.send_data(0, &vec![i + 1; len]).unwrap();
+                    // Heartbeat-idle until the goodbye arrives.
                     loop {
-                        match link.recv_reply(Some(Duration::from_secs(5))).unwrap() {
+                        match link.recv_reply(Some(Duration::from_millis(20))).unwrap() {
                             Some(ServerReply::Goodbye(g)) => return g,
                             Some(ServerReply::Ack(_)) => {}
                             None => link.send_heartbeat().unwrap(),
@@ -3013,24 +2531,41 @@ mod tests {
                 })
             })
             .collect();
-        // Let all three sessions commit their bytes, then drain.
+        // Let every session commit its bytes, then drain.
         thread::sleep(Duration::from_millis(200));
         flag.store(true, Ordering::SeqCst);
         for c in clients {
-            assert_eq!(c.join().unwrap(), 256);
+            assert_eq!(c.join().unwrap(), len as u64);
         }
         let sink = server_thread.join().unwrap();
-        assert_eq!(sink.data.len(), 3);
-        for t in 1..=3u64 {
-            assert_eq!(sink.data[&t].len(), 256);
+        assert_eq!(sink.data.len(), producers as usize);
+        for t in 1..=u64::from(producers) {
+            // Tokens are assigned in admission order, which need not be
+            // spawn order; every stream is one producer's fill byte.
+            let bytes = &sink.data[&t];
+            assert_eq!(bytes.len(), len);
+            assert!(bytes.iter().all(|&b| b == bytes[0]));
             assert!(
-                sink.events[&t]
-                    .iter()
-                    .any(|e| matches!(e, TransportEvent::Drained { offset: 256 })),
+                sink.events[&t].iter().any(
+                    |e| matches!(e, TransportEvent::Drained { offset } if *offset == len as u64)
+                ),
                 "tenant {t} events: {:?}",
                 sink.events[&t]
             );
         }
-        assert_eq!(sink.closed.len(), 3);
+        let mut fills: Vec<u8> = sink.data.values().map(|bytes| bytes[0]).collect();
+        fills.sort_unstable();
+        assert_eq!(fills, (1..=producers).collect::<Vec<_>>());
+        assert_eq!(sink.closed.len(), producers as usize);
+    }
+
+    #[test]
+    fn drain_flag_sends_goodbye_and_ends_stream() {
+        drain_case(1, 500);
+    }
+
+    #[test]
+    fn tenant_server_drains_all_live_sessions_on_flag() {
+        drain_case(3, 256);
     }
 }
