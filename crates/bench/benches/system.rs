@@ -27,11 +27,6 @@ fn bench_system(c: &mut Criterion) {
     group.bench_function("copy_graphene_impress_p_2k_requests", |b| {
         b.iter(|| black_box(build().run().performance.elapsed_cycles));
     });
-    // Same run with the channel shards on two workers (bit-identical output; this
-    // pair measures the epoch-pool overhead/speedup on this host).
-    group.bench_function("copy_graphene_impress_p_2k_requests_sharded", |b| {
-        b.iter(|| black_box(build().run_with_threads(2).performance.elapsed_cycles));
-    });
     group.finish();
 }
 

@@ -1,5 +1,5 @@
-//! `perf_report`: reproducible wall-clock benchmark of both parallelism axes and
-//! the tracker eviction engines.
+//! `perf_report`: reproducible wall-clock benchmark of sweep-level parallelism,
+//! the epoch loop's issue batching and the tracker eviction engines.
 //!
 //! Measures and gates:
 //!
@@ -11,9 +11,11 @@
 //!    time**: the summary-engine serial sweep must not exceed the scan-engine
 //!    serial sweep by more than [`SWEEP_WALL_TOLERANCE`] (i.e. full-sweep wall
 //!    time no worse than PR 4, measured on the same host in the same run).
-//! 2. **Channel-level (intra-run) parallelism and the adaptive horizon** — as in
-//!    PR 4: fixed vs adaptive horizons, inline vs sharded, all bit-identical, and
-//!    the adaptive issues-per-epoch batching gate on the baseline organization.
+//! 2. **Adaptive horizon batching** — on the baseline organization, the epoch
+//!    loop's mean issues per epoch must be at least [`ADAPTIVE_BATCH_GATE`]× the
+//!    fixed `tCAS + tBURST` window's, whose epoch counts are committed in
+//!    [`FIXED_WINDOW_EPOCHS`] (the simulation is deterministic, so the gate is
+//!    exactly as sensitive as running the fixed window alongside).
 //! 3. **Tracker record throughput and the churn gate** — per-tracker records/sec
 //!    on the rotating-aggressor *miss-heavy churn* stream (every record evicts)
 //!    and a hot-set stream (every record matches), with Graphene/Mithril measured
@@ -33,13 +35,11 @@
 //!    scenario at [`TRACE_INGEST_GATE_MRPS`] and the Graphene+ImPress-P
 //!    protected scenario at [`PROTECTED_INGEST_GATE_MRPS`] million records/s
 //!    (both best-of-[`INGEST_SAMPLES`]); then records a synthetic stream and
-//!    gates closed-loop **replay bit-identity** against the in-process run at
-//!    1, 2 and 4 shard threads.
+//!    gates closed-loop **replay bit-identity** against the in-process run.
 //! 6. **Record-batch determinism** — the PR 8 acceptance gate: open-loop ingest
 //!    with the bank-batched tracker kernels must produce a byte-identical
 //!    verdict JSON (and identical window telemetry and memory statistics) to
-//!    the per-record path at every [`REPLAY_THREAD_COUNTS`] shard thread
-//!    count.
+//!    the per-record path.
 //!
 //! Usage:
 //!
@@ -64,12 +64,10 @@ use impress_bench::{
 use impress_core::config::{DefenseKind, ProtectionConfig, TrackerChoice};
 use impress_core::security::SecurityHarness;
 use impress_core::EvictionEngine;
-use impress_dram::organization::DramOrganization;
 use impress_dram::DramTimings;
 use impress_memctrl::ControllerConfig;
 use impress_sim::{
-    Configuration, ExperimentRunner, HorizonMode, NormalizedResult, RunOutput, System,
-    SystemConfig, TraceRunner,
+    Configuration, ExperimentRunner, NormalizedResult, RunOutput, System, SystemConfig, TraceRunner,
 };
 use impress_trackers::graphene::GrapheneConfig;
 use impress_trackers::mithril::MithrilConfig;
@@ -115,19 +113,20 @@ const SWEEP_WALL_TOLERANCE: f64 = 1.3;
 const FULL_SECURITY_ACCESSES: u64 = 40_000;
 const QUICK_SECURITY_ACCESSES: u64 = 10_000;
 
-/// Workloads for the intra-run shard measurement (one latency-bound, two
-/// bandwidth-bound — the shapes with the least and most work per epoch).
-const SHARDED_WORKLOADS: [&str; 3] = ["mcf", "copy", "add_triad"];
-
-/// Stream workloads on which the adaptive horizon must batch at least
-/// [`ADAPTIVE_BATCH_GATE`]× the fixed window's issues per epoch (the PR 4
-/// acceptance gate; deterministic for a given request count).
-const ADAPTIVE_GATED_WORKLOADS: [&str; 2] = ["copy", "add_triad"];
+/// The adaptive-horizon acceptance gate: on the gated stream workloads the epoch
+/// loop must batch at least this multiple of the fixed window's issues per epoch.
 const ADAPTIVE_BATCH_GATE: f64 = 4.0;
 
-/// Channels in the intra-run measurement system (wider than the 2-channel baseline
-/// so the shard axis has headroom).
-const SHARDED_CHANNELS: u8 = 4;
+/// `(workload, quick epochs, full epochs)`: the epochs the fixed issue window —
+/// `tCAS + tBURST` past each epoch's first issue, the narrowest exact horizon —
+/// needs for the gated stream workloads (Graphene+ImPress-P, baseline
+/// organization, mix seed `0x5AA5`, [`QUICK_REQUESTS_PER_CORE`] and
+/// [`FULL_REQUESTS_PER_CORE`] requests per core). Measured by running that
+/// window through the epoch loop; both loops issue the same accesses, so the
+/// fixed window's mean issues per epoch is the adaptive run's issue count over
+/// these epochs. The simulation is deterministic, so the values are exact.
+const FIXED_WINDOW_EPOCHS: [(&str, u64, u64); 2] =
+    [("copy", 1_976, 19_818), ("add_triad", 2_181, 22_737)];
 
 /// The PR 6 ingest gate: end-to-end open-loop trace ingestion (decode → route →
 /// epoch loop → telemetry) of the streaming-locality recording must sustain at
@@ -159,13 +158,9 @@ const FULL_TRACE_RECORDS: u64 = 2_000_000;
 const QUICK_TRACE_RECORDS: u64 = 800_000;
 
 /// Requests per core for the replay-identity trace (a full protected system
-/// simulation runs per thread count, so this stays small).
+/// simulation, so this stays small).
 const FULL_REPLAY_REQUESTS_PER_CORE: u64 = 2_000;
 const QUICK_REPLAY_REQUESTS_PER_CORE: u64 = 500;
-
-/// Shard thread counts at which replay must be bit-identical to the in-process
-/// run (the PR 6 acceptance gate).
-const REPLAY_THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
 /// Pins every protected configuration in the sweep to one eviction engine.
 fn pin_engine(configurations: &[Configuration], engine: EvictionEngine) -> Vec<Configuration> {
@@ -270,105 +265,6 @@ fn main() {
          results identical across engines: {engines_swept_identical}"
     );
 
-    // ---- Axis 2: channel-level (intra-run) parallelism -----------------------
-    let sharded_system = |workload: &str| {
-        let protection = ProtectionConfig::paper_default(
-            TrackerChoice::Graphene,
-            DefenseKind::impress_p_default(),
-        );
-        let controller = ControllerConfig {
-            organization: DramOrganization {
-                channels: SHARDED_CHANNELS,
-                ..DramOrganization::baseline()
-            },
-            ..ControllerConfig::baseline()
-        }
-        .with_protection(protection);
-        let config = SystemConfig {
-            requests_per_core,
-            controller,
-            ..SystemConfig::baseline()
-        };
-        let mix = WorkloadMix::by_name(workload, 0x5AA5).expect("known workload");
-        System::new(config, mix)
-    };
-
-    eprintln!(
-        "perf_report: intra-run shard axis ({SHARDED_CHANNELS} channels, \
-         {} workloads, fixed vs adaptive horizons, 1 vs {threads} threads)...",
-        SHARDED_WORKLOADS.len()
-    );
-    let mut sharded_identical = true;
-    let mut batch_gate_ok = true;
-    let mut inline_ms_total = 0.0f64;
-    let mut sharded_ms_total = 0.0f64;
-    let mut fixed_inline_ms_total = 0.0f64;
-    let mut workload_lines = Vec::new();
-    for workload in SHARDED_WORKLOADS {
-        // Fixed-window loop (the PR 3 reference): inline and sharded.
-        let fixed_inline_start = Instant::now();
-        let fixed_inline = sharded_system(workload).run_with_horizon(1, HorizonMode::Fixed);
-        let fixed_inline_ms = fixed_inline_start.elapsed().as_secs_f64() * 1e3;
-        let fixed_sharded_start = Instant::now();
-        let fixed_sharded = sharded_system(workload).run_with_horizon(threads, HorizonMode::Fixed);
-        let fixed_sharded_ms = fixed_sharded_start.elapsed().as_secs_f64() * 1e3;
-
-        // Adaptive (dependency-bounded) loop: inline and sharded.
-        let inline_start = Instant::now();
-        let inline = sharded_system(workload).run_with_horizon(1, HorizonMode::Adaptive);
-        let inline_ms = inline_start.elapsed().as_secs_f64() * 1e3;
-        let sharded_start = Instant::now();
-        let sharded = sharded_system(workload).run_with_horizon(threads, HorizonMode::Adaptive);
-        let sharded_ms = sharded_start.elapsed().as_secs_f64() * 1e3;
-
-        // Adaptive == fixed == (by PR 3's pinned property) the serial loop, at
-        // both thread counts.
-        let identical = runs_identical(&inline, &sharded)
-            && runs_identical(&fixed_inline, &fixed_sharded)
-            && runs_identical(&fixed_inline, &inline);
-        sharded_identical &= identical;
-
-        let fixed_stats = fixed_inline.epoch_stats;
-        let adaptive_stats = inline.epoch_stats;
-        let batch_ratio =
-            adaptive_stats.mean_issues_per_epoch() / fixed_stats.mean_issues_per_epoch().max(1e-9);
-
-        inline_ms_total += inline_ms;
-        sharded_ms_total += sharded_ms;
-        fixed_inline_ms_total += fixed_inline_ms;
-        eprintln!(
-            "perf_report:   {workload}: fixed {fixed_inline_ms:.0}/{fixed_sharded_ms:.0} ms, \
-             adaptive {inline_ms:.0}/{sharded_ms:.0} ms (inline/sharded); \
-             epochs {} -> {}, issues/epoch {:.1} -> {:.1} (x{batch_ratio:.1}), \
-             window {:.0} -> {:.0} cycles; identical: {identical}",
-            fixed_stats.epochs,
-            adaptive_stats.epochs,
-            fixed_stats.mean_issues_per_epoch(),
-            adaptive_stats.mean_issues_per_epoch(),
-            fixed_stats.mean_window_cycles(),
-            adaptive_stats.mean_window_cycles(),
-        );
-        workload_lines.push(format!(
-            "      {{ \"workload\": \"{workload}\",\n\
-             \x20       \"fixed\": {{ \"inline_ms\": {fixed_inline_ms:.1}, \
-             \"sharded_ms\": {fixed_sharded_ms:.1}, \"epochs\": {}, \
-             \"mean_issues_per_epoch\": {:.3}, \"mean_window_cycles\": {:.3} }},\n\
-             \x20       \"adaptive\": {{ \"inline_ms\": {inline_ms:.1}, \
-             \"sharded_ms\": {sharded_ms:.1}, \"epochs\": {}, \
-             \"mean_issues_per_epoch\": {:.3}, \"mean_window_cycles\": {:.3} }},\n\
-             \x20       \"issues_per_epoch_ratio\": {batch_ratio:.3},\n\
-             \x20       \"identical\": {identical} }}",
-            fixed_stats.epochs,
-            fixed_stats.mean_issues_per_epoch(),
-            fixed_stats.mean_window_cycles(),
-            adaptive_stats.epochs,
-            adaptive_stats.mean_issues_per_epoch(),
-            adaptive_stats.mean_window_cycles(),
-        ));
-    }
-    let shard_speedup = inline_ms_total / sharded_ms_total.max(1e-9);
-    let horizon_speedup = fixed_inline_ms_total / inline_ms_total.max(1e-9);
-
     // ---- Adaptive batching gate (baseline Table II organization) -------------
     let baseline_system = |workload: &str| {
         let protection = ProtectionConfig::paper_default(
@@ -383,32 +279,28 @@ fn main() {
         let mix = WorkloadMix::by_name(workload, 0x5AA5).expect("known workload");
         System::new(config, mix)
     };
+    let mut batch_gate_ok = true;
     let mut gate_lines = Vec::new();
-    for workload in ADAPTIVE_GATED_WORKLOADS {
-        let fixed = baseline_system(workload)
-            .run_with_horizon(1, HorizonMode::Fixed)
-            .epoch_stats;
-        let adaptive = baseline_system(workload)
-            .run_with_horizon(1, HorizonMode::Adaptive)
-            .epoch_stats;
-        let ratio = adaptive.mean_issues_per_epoch() / fixed.mean_issues_per_epoch().max(1e-9);
+    for (workload, quick_epochs, full_epochs) in FIXED_WINDOW_EPOCHS {
+        let adaptive = baseline_system(workload).run().epoch_stats;
+        let fixed_epochs = if quick { quick_epochs } else { full_epochs };
+        let fixed_issues_per_epoch = adaptive.issues as f64 / fixed_epochs as f64;
+        let ratio = adaptive.mean_issues_per_epoch() / fixed_issues_per_epoch;
         if ratio < ADAPTIVE_BATCH_GATE {
             batch_gate_ok = false;
         }
         eprintln!(
-            "perf_report:   gate {workload} (baseline 2ch): issues/epoch {:.1} -> {:.1} \
-             (x{ratio:.1}, need >= {ADAPTIVE_BATCH_GATE}), window {:.0} -> {:.0} cycles",
-            fixed.mean_issues_per_epoch(),
+            "perf_report: adaptive batching {workload} (baseline 2ch): issues/epoch \
+             {fixed_issues_per_epoch:.1} (fixed window) -> {:.1} (x{ratio:.1}, need >= \
+             {ADAPTIVE_BATCH_GATE}), {:.0} cycles per window",
             adaptive.mean_issues_per_epoch(),
-            fixed.mean_window_cycles(),
             adaptive.mean_window_cycles(),
         );
         gate_lines.push(format!(
             "      {{ \"workload\": \"{workload}\", \
-             \"fixed_issues_per_epoch\": {:.3}, \
+             \"fixed_issues_per_epoch\": {fixed_issues_per_epoch:.3}, \
              \"adaptive_issues_per_epoch\": {:.3}, \
              \"ratio\": {ratio:.3} }}",
-            fixed.mean_issues_per_epoch(),
             adaptive.mean_issues_per_epoch(),
         ));
     }
@@ -745,36 +637,24 @@ fn main() {
     // The bank-batched tracker kernels must be observationally invisible: the
     // same trace ingested with batching forced off and on yields a
     // byte-identical verdict JSON and identical window telemetry and memory
-    // statistics, at every gated shard thread count.
+    // statistics.
     let batch_configuration = named_configuration("graphene-impress-p").expect("named");
-    let mut record_batch_ok = true;
-    let mut record_batch_lines = Vec::new();
-    for shard_threads in REPLAY_THREAD_COUNTS {
-        let run = |batched: bool| {
-            let reader = TraceReader::new(SliceSource::new(&trace_bytes)).expect("trace header");
-            TraceRunner::new()
-                .with_shard_threads(shard_threads)
-                .with_record_batching(batched)
-                .ingest(reader, &batch_configuration)
-                .expect("trace ingest")
-        };
-        let per_record = run(false);
-        let batched = run(true);
-        let identical = batched.verdict.to_json() == per_record.verdict.to_json()
-            && batched.windows == per_record.windows
-            && batched.memory == per_record.memory;
-        record_batch_ok &= identical;
-        eprintln!(
-            "perf_report: record-batch determinism @ {shard_threads} shard threads: \
-             batched == per-record: {identical}"
-        );
-        record_batch_lines.push(format!(
-            "      {{ \"shard_threads\": {shard_threads}, \"identical\": {identical} }}"
-        ));
-    }
+    let run = |batched: bool| {
+        let reader = TraceReader::new(SliceSource::new(&trace_bytes)).expect("trace header");
+        TraceRunner::new()
+            .with_record_batching(batched)
+            .ingest(reader, &batch_configuration)
+            .expect("trace ingest")
+    };
+    let per_record = run(false);
+    let batched = run(true);
+    let record_batch_ok = batched.verdict.to_json() == per_record.verdict.to_json()
+        && batched.windows == per_record.windows
+        && batched.memory == per_record.memory;
+    eprintln!("perf_report: record-batch determinism: batched == per-record: {record_batch_ok}");
 
     // Closed-loop replay: record the synthetic stream, then the replay must be
-    // bit-identical to the in-process run at every gated shard thread count.
+    // bit-identical to the in-process run.
     let replay_workload = "mcf";
     let replay_configuration = named_configuration("graphene-impress-p").expect("named");
     let (replay_meta, replay_records) =
@@ -789,29 +669,17 @@ fn main() {
         .with_controller(replay_configuration.controller_config());
         System::new(config, mix).run()
     };
-    let mut replay_gate_ok = true;
-    let mut replay_lines = Vec::new();
-    for shard_threads in REPLAY_THREAD_COUNTS {
-        let output = TraceRunner::new().with_shard_threads(shard_threads).replay(
-            &replay_meta,
-            &replay_records,
-            &replay_configuration,
-        );
-        let identical = runs_identical(&reference, &output);
-        replay_gate_ok &= identical;
-        eprintln!(
-            "perf_report: trace replay {replay_workload} @ {shard_threads} shard threads: \
-             {} cycles (bit-identical to in-process run: {identical})",
-            output.performance.elapsed_cycles
-        );
-        replay_lines.push(format!(
-            "      {{ \"shard_threads\": {shard_threads}, \"identical\": {identical} }}"
-        ));
-    }
+    let output = TraceRunner::new().replay(&replay_meta, &replay_records, &replay_configuration);
+    let replay_gate_ok = runs_identical(&reference, &output);
+    eprintln!(
+        "perf_report: trace replay {replay_workload}: {} cycles (bit-identical to in-process \
+         run: {replay_gate_ok})",
+        output.performance.elapsed_cycles
+    );
 
     let json = format!(
         "{{\n\
-         \x20 \"schema_version\": 6,\n\
+         \x20 \"schema_version\": 7,\n\
          \x20 \"pr\": 8,\n\
          \x20 \"binary\": \"perf_report\",\n\
          \x20 \"mode\": \"{mode}\",\n\
@@ -830,21 +698,10 @@ fn main() {
          \x20   \"wall_gate\": {{ \"ratio\": {sweep_wall_ratio:.3}, \
          \"max_ratio\": {SWEEP_WALL_TOLERANCE}, \"passed\": {sweep_wall_ok} }}\n\
          \x20 }},\n\
-         \x20 \"sharded_run\": {{\n\
-         \x20   \"channels\": {channels},\n\
-         \x20   \"requests_per_core\": {requests_per_core},\n\
-         \x20   \"shard_threads\": {threads},\n\
-         \x20   \"fixed_inline_ms\": {fixed_inline_ms_total:.1},\n\
-         \x20   \"inline_ms\": {inline_ms_total:.1},\n\
-         \x20   \"sharded_ms\": {sharded_ms_total:.1},\n\
-         \x20   \"speedup\": {shard_speedup:.3},\n\
-         \x20   \"adaptive_vs_fixed_inline_speedup\": {horizon_speedup:.3},\n\
-         \x20   \"adaptive_batch_gate\": {{ \"organization\": \"baseline-2ch\", \
+         \x20 \"adaptive_batch_gate\": {{ \"organization\": \"baseline-2ch\", \
+         \"requests_per_core\": {requests_per_core}, \
          \"min_ratio\": {ADAPTIVE_BATCH_GATE}, \"passed\": {batch_gate_ok}, \
-         \"workloads\": [\n{gate_json}\n    ] }},\n\
-         \x20   \"workloads\": [\n{workload_json}\n    ],\n\
-         \x20   \"sharded_identical_to_serial\": {sharded_identical}\n\
-         \x20 }},\n\
+         \"workloads\": [\n{gate_json}\n  ] }},\n\
          \x20 \"eviction\": {{\n\
          \x20   \"default_engine\": \"{default_engine}\",\n\
          \x20   \"scan_churn_records\": {scan_churn_records},\n\
@@ -859,10 +716,10 @@ fn main() {
          \x20   \"ingest_gate\": {{ \"samples\": {INGEST_SAMPLES}, \
          \"passed\": {ingest_gate_ok}, \"scenarios\": [\n{ingest_json}\n    ] }},\n\
          \x20   \"record_batch_gate\": {{ \"scenario\": \"graphene-impress-p\", \
-         \"passed\": {record_batch_ok}, \"runs\": [\n{record_batch_json}\n    ] }},\n\
+         \"passed\": {record_batch_ok} }},\n\
          \x20   \"replay_gate\": {{ \"workload\": \"{replay_workload}\", \
          \"requests_per_core\": {replay_requests_per_core}, \
-         \"passed\": {replay_gate_ok}, \"runs\": [\n{replay_json}\n    ] }}\n\
+         \"passed\": {replay_gate_ok} }}\n\
          \x20 }},\n\
          \x20 \"tracker_throughput\": [\n{tracker_json}\n  ]\n\
          }}\n",
@@ -870,16 +727,12 @@ fn main() {
         cpus = std::thread::available_parallelism().map_or(1, usize::from),
         n_workloads = workloads.len(),
         n_configs = configurations.len(),
-        channels = SHARDED_CHANNELS,
         default_engine = EvictionEngine::from_env().label(),
         gate_json = gate_lines.join(",\n"),
-        workload_json = workload_lines.join(",\n"),
         churn_json = churn_lines.join(",\n"),
         security_json = security_lines.join(",\n"),
         n_trace_records = ingest_records.len(),
         ingest_json = ingest_lines.join(",\n"),
-        record_batch_json = record_batch_lines.join(",\n"),
-        replay_json = replay_lines.join(",\n"),
         tracker_json = tracker_lines.join(",\n"),
     );
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
@@ -888,9 +741,7 @@ fn main() {
         "sweep: scan serial {scan_serial_ms:.0} ms, summary serial {serial_ms:.0} ms \
          (wall ratio {sweep_wall_ratio:.2}, gate {sweep_wall_ok}), parallel {parallel_ms:.0} ms \
          on {threads} threads (x{sweep_speedup:.2}, identical: {sweep_identical}); \
-         sharded run: adaptive inline {inline_ms_total:.0} ms (x{horizon_speedup:.2} vs fixed), \
-         sharded {sharded_ms_total:.0} ms (x{shard_speedup:.2}, identical: {sharded_identical}, \
-         batch gate: {batch_gate_ok}); churn gate: {churn_gate_ok}; \
+         adaptive batch gate: {batch_gate_ok}; churn gate: {churn_gate_ok}; \
          equivalence gate: {equivalence_ok}; trace ingest gate: {ingest_gate_ok}; \
          record-batch gate: {record_batch_ok}; \
          replay identity gate: {replay_gate_ok} -> {out_path}"
@@ -898,10 +749,6 @@ fn main() {
     let mut failed = false;
     if !sweep_identical {
         eprintln!("perf_report: ERROR: parallel sweep diverged from serial sweep");
-        failed = true;
-    }
-    if !sharded_identical {
-        eprintln!("perf_report: ERROR: adaptive/fixed/sharded runs diverged from the inline run");
         failed = true;
     }
     if !batch_gate_ok {
@@ -944,15 +791,12 @@ fn main() {
     if !record_batch_ok {
         eprintln!(
             "perf_report: ERROR: batched ingest diverged from the per-record \
-             path at some shard thread count"
+             path"
         );
         failed = true;
     }
     if !replay_gate_ok {
-        eprintln!(
-            "perf_report: ERROR: trace replay diverged from the in-process run \
-             at some shard thread count"
-        );
+        eprintln!("perf_report: ERROR: trace replay diverged from the in-process run");
         failed = true;
     }
     if failed {

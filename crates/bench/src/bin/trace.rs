@@ -10,20 +10,19 @@
 //!     also runs the same workload in-process (closed loop) under --config and
 //!     writes that run's verdict report — the reference a replay must match.
 //!
-//! trace replay --in FILE [--config NAME] [--shard-threads N] [--verdict FILE]
+//! trace replay --in FILE [--config NAME] [--verdict FILE]
 //!     Closed-loop replay: rebuilds the recording run's core models from the
 //!     trace header and reruns the stream through the full system model.
-//!     Bit-identical to the in-process run at any shard thread count.
+//!     Bit-identical to the in-process run.
 //!
 //! trace throughput (--in FILE | --workload W) [--config NAME]
-//!                  [--records N] [--shard-threads N] [--window N]
+//!                  [--records N] [--seed N] [--window N]
 //!     Open-loop ingestion benchmark: decode → route → epoch loop → telemetry,
 //!     reporting million records/s end to end.
 //!
 //! trace ingest --in FILE [--config NAME] [--resync] [--follow]
-//!              [--shard-threads N] [--window N] [--idle-timeout MS]
-//!              [--backoff-initial MS] [--backoff-max MS] [--verdict FILE]
-//!              [--expect FILE]
+//!              [--window N] [--idle-timeout MS] [--backoff-initial MS]
+//!              [--backoff-max MS] [--verdict FILE] [--expect FILE]
 //!     Open-loop ingestion with a verdict report. --resync survives stream
 //!     corruption (degraded verdict + fault ledger) instead of aborting.
 //!     --follow streams a growing file/FIFO under the configurable
@@ -38,8 +37,8 @@
 //! trace daemon (--in FILE | --listen tcp://ADDR|unix://PATH) [--config NAME]
 //!              [--resync] [--follow] [--resume] [--checkpoint FILE]
 //!              [--checkpoint-every N] [--window N] [--max-lag N]
-//!              [--shard-threads N] [--idle-timeout MS] [--backoff-initial MS]
-//!              [--backoff-max MS] [--max-clients N] [--stage-budget BYTES]
+//!              [--idle-timeout MS] [--backoff-initial MS] [--backoff-max MS]
+//!              [--max-clients N] [--stage-budget BYTES]
 //!              [--stall-limit MS] [--quarantine-after N] [--verdict FILE]
 //!              [--verdict-dir DIR] [--expect FILE]
 //!     Supervised ingestion: periodic durable checkpoints, bounded-lag
@@ -78,8 +77,9 @@
 //! `--config` takes a named configuration (`unprotected`, `graphene-impress-p`,
 //! `para-impress-p`, `mithril-impress-p`; default `unprotected`). Verdict
 //! reports are canonical JSON derived only from deterministic simulation state,
-//! so `diff` works across runs, hosts and thread counts. `--in -` reads the
-//! trace from stdin.
+//! so `diff` works across runs and hosts. `--in -` reads the trace from stdin.
+//! A subcommand refuses any flag it does not take (exit [`EXIT_USAGE`]), so a
+//! mistyped flag fails instead of being silently ignored.
 //!
 //! # Exit codes
 //!
@@ -150,16 +150,16 @@ fn usage() -> ! {
     eprintln!(
         "usage: trace record --workload W [--seed N] [--requests-per-core N] --out FILE \
          [--config NAME] [--verdict FILE]\n\
-         \x20      trace replay --in FILE [--config NAME] [--shard-threads N] [--verdict FILE]\n\
+         \x20      trace replay --in FILE [--config NAME] [--verdict FILE]\n\
          \x20      trace throughput (--in FILE | --workload W) [--config NAME[,NAME...]|all] \
-         [--records N] [--shard-threads N] [--window N]\n\
+         [--records N] [--seed N] [--window N]\n\
          \x20      trace ingest --in FILE [--config NAME] [--resync] [--follow] \
-         [--shard-threads N] [--window N] [--idle-timeout MS] [--backoff-initial MS] \
+         [--window N] [--idle-timeout MS] [--backoff-initial MS] \
          [--backoff-max MS] [--verdict FILE] [--expect FILE]\n\
          \x20      trace corrupt --in FILE --out FILE [--seed N]\n\
          \x20      trace daemon (--in FILE | --listen tcp://ADDR|unix://PATH) [--config NAME] \
          [--resync] [--follow] [--resume] [--checkpoint FILE] [--checkpoint-every N] \
-         [--window N] [--max-lag N] [--shard-threads N] [--idle-timeout MS] \
+         [--window N] [--max-lag N] [--idle-timeout MS] \
          [--backoff-initial MS] [--backoff-max MS] [--max-clients N] [--stage-budget BYTES] \
          [--stall-limit MS] [--quarantine-after N] [--verdict FILE] [--verdict-dir DIR] \
          [--expect FILE]\n\
@@ -174,7 +174,119 @@ fn usage() -> ! {
 /// Minimal flag parser: `--key value` pairs after the subcommand.
 struct Args(Vec<String>);
 
+/// The flags `command` accepts: `(flags taking a value, bare flags)`, or
+/// `None` for an unknown subcommand.
+fn accepted_flags(command: &str) -> Option<(&'static [&'static str], &'static [&'static str])> {
+    Some(match command {
+        "record" => (
+            &[
+                "--workload",
+                "--seed",
+                "--requests-per-core",
+                "--out",
+                "--config",
+                "--verdict",
+            ],
+            &[],
+        ),
+        "replay" => (&["--in", "--config", "--verdict"], &[]),
+        "throughput" => (
+            &[
+                "--in",
+                "--workload",
+                "--config",
+                "--records",
+                "--seed",
+                "--window",
+            ],
+            &[],
+        ),
+        "ingest" => (
+            &[
+                "--in",
+                "--config",
+                "--window",
+                "--idle-limit",
+                "--idle-timeout",
+                "--backoff-initial",
+                "--backoff-max",
+                "--verdict",
+                "--expect",
+            ],
+            &["--resync", "--follow"],
+        ),
+        "corrupt" => (&["--in", "--out", "--seed"], &[]),
+        "daemon" => (
+            &[
+                "--in",
+                "--listen",
+                "--config",
+                "--checkpoint",
+                "--checkpoint-every",
+                "--window",
+                "--max-lag",
+                "--idle-limit",
+                "--idle-timeout",
+                "--backoff-initial",
+                "--backoff-max",
+                "--max-clients",
+                "--stage-budget",
+                "--stall-limit",
+                "--quarantine-after",
+                "--verdict",
+                "--verdict-dir",
+                "--expect",
+            ],
+            &["--resync", "--follow", "--resume"],
+        ),
+        "send" => (
+            &[
+                "--in",
+                "--to",
+                "--chunk-bytes",
+                "--ack-window",
+                "--max-sessions",
+                "--heartbeat",
+                "--idle-limit",
+                "--idle-timeout",
+                "--backoff-initial",
+                "--backoff-max",
+                "--fault-seed",
+                "--hostile-seed",
+            ],
+            &["--no-retry", "--follow"],
+        ),
+        _ => return None,
+    })
+}
+
 impl Args {
+    /// The first argument that is not a flag `(valued, bare)` accepts (a
+    /// valued flag consumes the argument after it), if any.
+    fn unknown_argument(&self, valued: &[&str], bare: &[&str]) -> Option<&str> {
+        let mut i = 0;
+        while let Some(arg) = self.0.get(i).map(String::as_str) {
+            if valued.contains(&arg) {
+                i += 2;
+            } else if bare.contains(&arg) {
+                i += 1;
+            } else {
+                return Some(arg);
+            }
+        }
+        None
+    }
+
+    /// Exits with [`EXIT_USAGE`] on an unknown subcommand, or naming the first
+    /// argument `command` does not accept.
+    fn check(&self, command: &str) {
+        let (valued, bare) = accepted_flags(command).unwrap_or_else(|| usage());
+        if let Some(arg) = self.unknown_argument(valued, bare) {
+            eprintln!("trace {command}: unknown argument {arg:?}");
+            usage();
+        }
+    }
+
     /// True when a bare boolean flag is present.
     fn has(&self, key: &str) -> bool {
         self.0.iter().any(|a| a == key)
@@ -313,19 +425,15 @@ fn read_records(path: &str) -> io::Result<(TraceMeta, Vec<TraceRecord>)> {
 fn cmd_replay(args: &Args) -> io::Result<()> {
     let input = args.get("--in").unwrap_or_else(|| usage());
     let configuration = args.configuration();
-    let shard_threads = args.get_u64("--shard-threads", 1) as usize;
 
     let (meta, records) = read_records(input)?;
-    let runner = TraceRunner::new().with_shard_threads(shard_threads);
-    let output = runner.replay(&meta, &records, &configuration);
+    let output = TraceRunner::new().replay(&meta, &records, &configuration);
     let verdict = VerdictReport::from_run(&output, &configuration);
     eprintln!(
-        "trace: replayed {} records of {} under {} ({} shard threads): \
-         {} cycles, verdict {}",
+        "trace: replayed {} records of {} under {}: {} cycles, verdict {}",
         records.len(),
         meta.name,
         configuration.label,
-        shard_threads,
         output.performance.elapsed_cycles,
         verdict.verdict
     );
@@ -353,7 +461,6 @@ fn cmd_throughput(args: &Args) -> io::Result<()> {
     if configurations.is_empty() {
         usage();
     }
-    let shard_threads = args.get_u64("--shard-threads", 1) as usize;
     let window = args.get_u64("--window", 1 << 20);
 
     // Materialize the trace bytes in memory so the timed region measures the
@@ -383,20 +490,17 @@ fn cmd_throughput(args: &Args) -> io::Result<()> {
     };
 
     for configuration in &configurations {
-        let runner = TraceRunner::new()
-            .with_shard_threads(shard_threads)
-            .with_window_records(window);
+        let runner = TraceRunner::new().with_window_records(window);
         let start = Instant::now();
         let report = runner.ingest(TraceReader::new(SliceSource::new(&bytes))?, configuration)?;
         let secs = start.elapsed().as_secs_f64();
         let mrps = report.records as f64 / secs / 1e6;
         println!(
             "ingest: {} records in {:.3} s = {mrps:.1} M records/s under {} \
-             ({} shard threads, {} windows, verdict {})",
+             ({} windows, verdict {})",
             report.records,
             secs,
             configuration.label,
-            shard_threads,
             report.windows.len(),
             report.verdict.verdict
         );
@@ -417,7 +521,6 @@ fn read_bytes(path: &str) -> io::Result<Vec<u8>> {
 fn cmd_ingest(args: &Args) -> io::Result<()> {
     let input = args.get("--in").unwrap_or_else(|| usage());
     let configuration = args.configuration();
-    let shard_threads = args.get_u64("--shard-threads", 1) as usize;
     let window = args.get_u64("--window", 1 << 20);
     let mode = if args.has("--resync") {
         DecodeMode::Resync
@@ -425,9 +528,7 @@ fn cmd_ingest(args: &Args) -> io::Result<()> {
         DecodeMode::Strict
     };
 
-    let runner = TraceRunner::new()
-        .with_shard_threads(shard_threads)
-        .with_window_records(window);
+    let runner = TraceRunner::new().with_window_records(window);
     let report = if args.has("--follow") {
         // Stream a growing file or FIFO, riding out stalls under the
         // CLI-configured backoff/idle policy instead of buffering up front.
@@ -599,7 +700,6 @@ fn cmd_daemon(args: &Args) -> io::Result<()> {
         window_records: args.get_u64("--window", 1 << 16),
         checkpoint_every: args.get_u64("--checkpoint-every", 1 << 18),
         max_lag_windows: args.get_u64("--max-lag", base.max_lag_windows as u64) as usize,
-        shard_threads: args.get_u64("--shard-threads", 1) as usize,
         resync: args.has("--resync"),
         resume_from,
         record_batch: None,
@@ -822,6 +922,7 @@ fn main() {
     }
     let command = argv.remove(0);
     let args = Args(argv);
+    args.check(&command);
     let outcome = std::panic::catch_unwind(move || match command.as_str() {
         "record" => cmd_record(&args),
         "replay" => cmd_replay(&args),
@@ -843,5 +944,57 @@ fn main() {
             eprintln!("trace: internal panic");
             std::process::exit(EXIT_PANIC);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn unknown(command: &str, argv: &[&str]) -> Option<String> {
+        let (valued, bare) = accepted_flags(command).expect("known subcommand");
+        let args = Args(argv.iter().map(|a| a.to_string()).collect());
+        args.unknown_argument(valued, bare).map(str::to_string)
+    }
+
+    #[test]
+    fn every_subcommand_accepts_its_documented_flags() {
+        assert_eq!(
+            unknown(
+                "daemon",
+                &[
+                    "--in",
+                    "-",
+                    "--follow",
+                    "--checkpoint-every",
+                    "16384",
+                    "--resume",
+                    "--verdict",
+                    "/tmp/v.json",
+                ],
+            ),
+            None
+        );
+        assert_eq!(
+            unknown("send", &["--in", "f", "--to", "unix:///s", "--no-retry"]),
+            None
+        );
+        // A value is never read as a flag, even when it looks like one.
+        assert_eq!(unknown("record", &["--out", "--verdict"]), None);
+        assert!(accepted_flags("bogus").is_none());
+    }
+
+    #[test]
+    fn unknown_flags_are_named() {
+        assert_eq!(
+            unknown("daemon", &["--in", "f", "--checkpoint-evry", "5"]).as_deref(),
+            Some("--checkpoint-evry")
+        );
+        // Flags of another subcommand are unknown here.
+        assert_eq!(
+            unknown("replay", &["--in", "f", "--resync"]).as_deref(),
+            Some("--resync")
+        );
+        assert_eq!(unknown("corrupt", &["stray"]).as_deref(), Some("stray"));
     }
 }

@@ -15,15 +15,10 @@
 //! * runs inline (no threads spawned) when one worker is requested or the input has
 //!   at most one item, keeping the serial path truly serial.
 //!
-//! For *intra-run* parallelism — the epoch-phased sharded system loop, which needs
-//! thousands of tiny fork-join rounds per simulation — [`epoch_scope`] provides a
-//! persistent pool: workers are spawned once, wait between rounds with a bounded
-//! spin, then a bounded yield, then a `Condvar` park (so round-trip latency stays
-//! low in a hot loop while idle workers cost nothing during a run's serial
-//! issue/merge phases or on oversubscribed hosts), and claim tasks from the same
-//! dynamic atomic index as [`par_map`]. A hot round costs a couple of atomic
-//! operations instead of a thread spawn, which is what makes barriers every few
-//! dozen simulated cycles affordable.
+//! Parallelism pays across runs, not inside one: a sweep spreads its cells over
+//! [`par_map`] and the serving layer gives each tenant a thread, while a single
+//! simulation runs on one thread, executing its channel shards inline in a
+//! fixed order.
 //!
 //! The worker count defaults to the machine's available parallelism and is
 //! overridden with the `IMPRESS_THREADS` environment variable.
@@ -31,10 +26,8 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Environment variable overriding the worker count used by [`par_map`].
 pub const THREADS_ENV: &str = "IMPRESS_THREADS";
@@ -142,405 +135,6 @@ where
         .map(|r| r.expect("every index claimed exactly once"))
         .collect()
 }
-
-/// Spin iterations before a waiting worker starts yielding its time slice (keeps
-/// round-trip latency low on idle cores without starving oversubscribed hosts).
-const SPINS_BEFORE_YIELD: u32 = 128;
-
-/// Spin + yield iterations before a between-rounds worker parks on the pool's
-/// `Condvar`. Below this threshold a new round is picked up within nanoseconds;
-/// beyond it the driver is in a long serial phase (issue/merge of a big epoch, or
-/// finished with the pool entirely) and a parked worker costs the host nothing.
-const SPINS_BEFORE_PARK: u32 = SPINS_BEFORE_YIELD + 64;
-
-/// Synchronization state shared between an epoch-scope driver and its workers.
-struct EpochSync {
-    /// Round generation counter; the driver bumps it to start a round.
-    epoch: AtomicU64,
-    /// Dynamic claim index for the current round (the `par_map` idiom).
-    claim: AtomicUsize,
-    /// Tasks completed in the current round.
-    done: AtomicUsize,
-    /// Set when the driver is finished or unwinding: workers exit.
-    stop: AtomicBool,
-    /// Set when a task of the current round panicked. Cleared by the driver when
-    /// it collects the round's outcome, so a contained panic does not poison the
-    /// next round.
-    panicked: AtomicBool,
-    /// Panic payloads of the current round, collected on the driver thread.
-    payload: Mutex<Vec<Box<dyn std::any::Any + Send>>>,
-    /// Workers currently parked on `wake`. Incremented/decremented only with
-    /// `park_lock` held, so a round-starter that takes the lock observes every
-    /// committed park (see the handshake argument on [`EpochScope::run_epoch`]).
-    parked: AtomicUsize,
-    /// Guards the park/wake handshake; deliberately holds no data — the state it
-    /// orders lives in the atomics above.
-    park_lock: Mutex<()>,
-    /// Parked workers wait here for a new round (or shutdown).
-    wake: Condvar,
-}
-
-impl EpochSync {
-    fn new() -> Self {
-        Self {
-            epoch: AtomicU64::new(0),
-            claim: AtomicUsize::new(0),
-            done: AtomicUsize::new(0),
-            stop: AtomicBool::new(false),
-            panicked: AtomicBool::new(false),
-            payload: Mutex::new(Vec::new()),
-            parked: AtomicUsize::new(0),
-            park_lock: Mutex::new(()),
-            wake: Condvar::new(),
-        }
-    }
-
-    /// Publishes `publish` (an epoch bump or a stop flag) under the park lock and
-    /// wakes any parked workers.
-    ///
-    /// Holding the lock across the store is what makes the park handshake
-    /// lost-wakeup-free: a worker parks only after re-checking the epoch/stop
-    /// state *with the lock held*, so either the worker sees this store and never
-    /// waits, or its park is visible to `parked` here and gets the notification.
-    fn publish_and_wake(&self, publish: impl FnOnce()) {
-        let guard = self.park_lock.lock().expect("park lock poisoned");
-        publish();
-        let any_parked = self.parked.load(Ordering::Relaxed) > 0;
-        drop(guard);
-        if any_parked {
-            self.wake.notify_all();
-        }
-    }
-}
-
-/// Ensures workers are released even if the driver unwinds.
-struct StopGuard<'a>(&'a EpochSync);
-
-impl Drop for StopGuard<'_> {
-    fn drop(&mut self) {
-        // This runs during unwinding too, so tolerate a poisoned lock instead of
-        // aborting: the `Err` branch of `lock()` still holds the guard, so the
-        // store is ordered against parking workers either way.
-        let guard = self.0.park_lock.lock();
-        self.0.stop.store(true, Ordering::Release);
-        drop(guard);
-        self.0.wake.notify_all();
-    }
-}
-
-/// The outcome of a round in which one or more tasks panicked, returned by
-/// [`EpochScope::try_run_epoch`].
-///
-/// The round still ran to completion — every task index was claimed exactly once
-/// and either finished or panicked — and the pool remains fully usable for
-/// subsequent rounds. This is the containment primitive supervised drivers (the
-/// trace daemon) build per-window quarantine on: a panicking shard worker costs
-/// one round's work on the panicking task, not the process.
-pub struct EpochPanic {
-    payloads: Vec<Box<dyn std::any::Any + Send>>,
-}
-
-impl std::fmt::Debug for EpochPanic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EpochPanic")
-            .field("failed_tasks", &self.payloads.len())
-            .field("messages", &self.messages())
-            .finish()
-    }
-}
-
-impl EpochPanic {
-    /// Number of tasks that panicked during the round.
-    pub fn failed_tasks(&self) -> usize {
-        self.payloads.len()
-    }
-
-    /// Human-readable panic messages, where payloads are strings (the common
-    /// `panic!("...")` case); other payload types render as `"<non-string panic>"`.
-    pub fn messages(&self) -> Vec<String> {
-        self.payloads
-            .iter()
-            .map(|p| {
-                if let Some(s) = p.downcast_ref::<&str>() {
-                    (*s).to_string()
-                } else if let Some(s) = p.downcast_ref::<String>() {
-                    s.clone()
-                } else {
-                    "<non-string panic>".to_string()
-                }
-            })
-            .collect()
-    }
-
-    /// Re-raises the first captured panic on the current thread.
-    pub fn resume(mut self) -> ! {
-        match self.payloads.pop() {
-            Some(p) => resume_unwind(p),
-            None => panic!("epoch worker panicked"),
-        }
-    }
-}
-
-/// Handle to a running epoch pool, passed to the driver closure of [`epoch_scope`].
-///
-/// Each [`EpochScope::run_epoch`] call executes `execute(i)` exactly once for every
-/// task index `i in 0..tasks` and returns only when all of them have finished — a
-/// reusable fork-join barrier. Tasks of one round are claimed dynamically, so uneven
-/// per-task costs balance across workers; successive rounds reuse the same parked
-/// worker threads.
-pub struct EpochScope<'a, F: Fn(usize) + Sync> {
-    execute: &'a F,
-    tasks: usize,
-    /// `None` in inline (single-threaded) mode.
-    sync: Option<&'a EpochSync>,
-    /// Rounds completed so far (the statistics hook for epoch-phased drivers).
-    rounds: Cell<u64>,
-}
-
-impl<F: Fn(usize) + Sync> std::fmt::Debug for EpochScope<'_, F> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EpochScope")
-            .field("tasks", &self.tasks)
-            .field("parallel", &self.sync.is_some())
-            .finish()
-    }
-}
-
-impl<F: Fn(usize) + Sync> EpochScope<'_, F> {
-    /// Runs one round: every task index is executed exactly once, on this thread and
-    /// any parked workers, and the call returns after the last task completes.
-    ///
-    /// If any task panics (on a worker or on the driver thread itself), the panic is
-    /// re-raised here after the round completes; the workers are released by the
-    /// scope's unwind guard. Drivers that must survive task panics — supervised
-    /// ingestion daemons quarantining a failed window — use
-    /// [`EpochScope::try_run_epoch`] instead.
-    pub fn run_epoch(&self) {
-        if let Err(panic) = self.try_run_epoch() {
-            if let Some(sync) = self.sync {
-                sync.stop.store(true, Ordering::Release);
-            }
-            panic.resume();
-        }
-    }
-
-    /// Runs one round like [`EpochScope::run_epoch`], but *contains* task panics:
-    /// a panicking task counts as finished, the remaining tasks of the round still
-    /// execute, and the captured payloads are returned as an [`EpochPanic`] instead
-    /// of unwinding. The pool stays fully usable afterwards, so a supervising
-    /// driver can quarantine the failed round's work and keep serving.
-    ///
-    /// Tasks are independent by contract, so completing the round after a panic is
-    /// safe; state owned by a panicking task may of course be left mid-update, and
-    /// it is the caller's job to discard or quarantine it.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`EpochPanic`] carrying every panic payload captured during the
-    /// round.
-    pub fn try_run_epoch(&self) -> Result<(), EpochPanic> {
-        self.rounds.set(self.rounds.get() + 1);
-        let Some(sync) = self.sync else {
-            // Inline mode: the serial path stays serial (no atomics, no locks);
-            // panics are still contained so daemons can run single-threaded.
-            let mut payloads = Vec::new();
-            for i in 0..self.tasks {
-                if let Err(p) = catch_unwind(AssertUnwindSafe(|| (self.execute)(i))) {
-                    payloads.push(p);
-                }
-            }
-            return if payloads.is_empty() {
-                Ok(())
-            } else {
-                Err(EpochPanic { payloads })
-            };
-        };
-        // Reset order matters: `done` strictly before `claim`. A straggler worker
-        // still in the previous round's claim loop may claim from the freshly reset
-        // counter before the epoch bump; because its claim (Acquire) synchronizes
-        // with the `claim` reset (Release, below), its `done` increment is
-        // guaranteed to land after this `done` reset and is never lost. Resetting
-        // in the opposite order would let such an increment be wiped, leaving the
-        // round one task short and the wait loop below spinning forever.
-        sync.done.store(0, Ordering::Relaxed);
-        sync.claim.store(0, Ordering::Release);
-        // The epoch bump is published under the park lock so a worker that is
-        // about to park cannot miss it (see EpochSync::publish_and_wake); spinning
-        // and yielding workers pick it up straight from the atomic.
-        sync.publish_and_wake(|| {
-            sync.epoch.fetch_add(1, Ordering::Release);
-        });
-        // The driver participates in the round. Its tasks are contained exactly
-        // like a worker's: a panicking task is recorded and counted as done, so
-        // the round always completes and the wait below always terminates.
-        loop {
-            let i = sync.claim.fetch_add(1, Ordering::Acquire);
-            if i >= self.tasks {
-                break;
-            }
-            match catch_unwind(AssertUnwindSafe(|| (self.execute)(i))) {
-                Ok(()) => {}
-                Err(p) => {
-                    sync.payload.lock().expect("payload mutex").push(p);
-                    sync.panicked.store(true, Ordering::Release);
-                }
-            }
-            sync.done.fetch_add(1, Ordering::Release);
-        }
-        let mut spins = 0u32;
-        while sync.done.load(Ordering::Acquire) < self.tasks {
-            spins += 1;
-            if spins < SPINS_BEFORE_YIELD {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-        }
-        // Collect the round's outcome. Every task has finished (done == tasks), so
-        // every panic of this round is already recorded; clearing the flag here
-        // cannot race a straggler.
-        if sync.panicked.swap(false, Ordering::AcqRel) {
-            let payloads = std::mem::take(&mut *sync.payload.lock().expect("payload mutex"));
-            return Err(EpochPanic { payloads });
-        }
-        Ok(())
-    }
-
-    /// Number of tasks executed per round.
-    pub fn tasks(&self) -> usize {
-        self.tasks
-    }
-
-    /// Number of rounds run so far — the statistics hook epoch-phased drivers use
-    /// to cross-check their own round accounting.
-    pub fn rounds_run(&self) -> u64 {
-        self.rounds.get()
-    }
-
-    /// `true` when rounds actually fan out to worker threads.
-    pub fn is_parallel(&self) -> bool {
-        self.sync.is_some()
-    }
-}
-
-fn epoch_worker<F: Fn(usize) + Sync>(sync: &EpochSync, execute: &F, tasks: usize) {
-    let mut seen = 0u64;
-    loop {
-        // Wait until the driver starts a new round (or shuts the pool down):
-        // bounded spin (round already being launched), then bounded yield
-        // (driver briefly busy), then a Condvar park (driver in a long serial
-        // phase — the worker must cost the host nothing).
-        let mut spins = 0u32;
-        loop {
-            if sync.stop.load(Ordering::Acquire) {
-                return;
-            }
-            let e = sync.epoch.load(Ordering::Acquire);
-            if e != seen {
-                seen = e;
-                break;
-            }
-            spins += 1;
-            if spins < SPINS_BEFORE_YIELD {
-                std::hint::spin_loop();
-            } else if spins < SPINS_BEFORE_PARK {
-                std::thread::yield_now();
-            } else {
-                // Park. The re-check of stop/epoch happens with the lock held:
-                // any round start or shutdown is published under this same lock
-                // (EpochSync::publish_and_wake, StopGuard), so either we observe
-                // it here and skip the wait, or our `parked` increment is visible
-                // to the publisher and we receive its notification — no window
-                // for a lost wakeup.
-                let mut guard = sync.park_lock.lock().expect("park lock poisoned");
-                sync.parked.fetch_add(1, Ordering::Relaxed);
-                while !sync.stop.load(Ordering::Acquire)
-                    && sync.epoch.load(Ordering::Acquire) == seen
-                {
-                    guard = sync.wake.wait(guard).expect("park condvar poisoned");
-                }
-                sync.parked.fetch_sub(1, Ordering::Relaxed);
-                drop(guard);
-                // Loop around to re-read stop/epoch on the normal path.
-            }
-        }
-        // Claim loop. A straggler that observes a round late simply joins whichever
-        // round is current — claim indices are unique per round, so no task can run
-        // twice and `done` counts every task exactly once (the Acquire claim pairs
-        // with the driver's Release reset: any claim drawn from a freshly reset
-        // counter is ordered after that round's `done` reset).
-        //
-        // A panicking task is *contained*: its payload is recorded, it counts as
-        // done (so the driver's completion wait terminates), and the worker keeps
-        // claiming — tasks are independent, so the rest of the round still runs.
-        // The driver decides whether to unwind (run_epoch) or quarantine
-        // (try_run_epoch) once the round completes.
-        loop {
-            if sync.stop.load(Ordering::Acquire) {
-                break;
-            }
-            let i = sync.claim.fetch_add(1, Ordering::Acquire);
-            if i >= tasks {
-                break;
-            }
-            match catch_unwind(AssertUnwindSafe(|| execute(i))) {
-                Ok(()) => {
-                    sync.done.fetch_add(1, Ordering::Release);
-                }
-                Err(p) => {
-                    sync.payload.lock().expect("payload mutex").push(p);
-                    sync.panicked.store(true, Ordering::Release);
-                    sync.done.fetch_add(1, Ordering::Release);
-                }
-            }
-        }
-    }
-}
-
-/// Runs `driver` with a persistent pool of `threads` workers that repeatedly execute
-/// `execute(0..tasks)` on demand (one [`EpochScope::run_epoch`] call per round).
-///
-/// This is the fork-join substrate for epoch-phased simulation: [`par_map`] pays a
-/// thread spawn per call, which is fine for sweep cells that run for milliseconds but
-/// ruinous for the thousands of micro-rounds of a sharded `System` run. Here the
-/// workers are spawned once for the lifetime of `driver` and a round costs a few
-/// atomic operations.
-///
-/// With `threads <= 1` or `tasks <= 1` no threads are spawned and rounds execute
-/// inline on the caller — the serial path stays serial. Results are deterministic by
-/// construction for any thread count as long as the tasks are independent (the
-/// sharded run loop guarantees this by giving each task exclusive state).
-pub fn epoch_scope<F, D, R>(threads: usize, tasks: usize, execute: F, driver: D) -> R
-where
-    F: Fn(usize) + Sync,
-    D: FnOnce(&EpochScope<'_, F>) -> R,
-{
-    let threads = threads.max(1).min(tasks.max(1));
-    if threads == 1 || tasks <= 1 {
-        return driver(&EpochScope {
-            execute: &execute,
-            tasks,
-            sync: None,
-            rounds: Cell::new(0),
-        });
-    }
-    let sync = EpochSync::new();
-    let execute = &execute;
-    let sync_ref = &sync;
-    std::thread::scope(|scope| {
-        for _ in 0..threads - 1 {
-            scope.spawn(move || epoch_worker(sync_ref, execute, tasks));
-        }
-        let _guard = StopGuard(sync_ref);
-        driver(&EpochScope {
-            execute,
-            tasks,
-            sync: Some(sync_ref),
-            rounds: Cell::new(0),
-        })
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -607,200 +201,16 @@ mod tests {
         });
     }
 
-    /// Drives `rounds` epochs over `tasks` accumulator cells and returns the cells.
-    fn run_epochs(threads: usize, tasks: usize, rounds: u64) -> Vec<u64> {
-        let cells: Vec<Mutex<u64>> = (0..tasks).map(|i| Mutex::new(i as u64)).collect();
-        let cells_ref = &cells;
-        epoch_scope(
-            threads,
-            tasks,
-            move |i| {
-                let mut cell = cells_ref[i].lock().unwrap();
-                *cell = cell
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(i as u64);
-            },
-            |scope| {
-                for _ in 0..rounds {
-                    scope.run_epoch();
-                }
-            },
-        );
-        cells.into_iter().map(|c| c.into_inner().unwrap()).collect()
-    }
-
-    #[test]
-    fn epoch_rounds_match_inline_execution() {
-        let expect = run_epochs(1, 5, 2_000);
-        for threads in [2, 3, 8] {
-            assert_eq!(run_epochs(threads, 5, 2_000), expect, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn many_tiny_epochs_do_not_deadlock() {
-        // The sharded system loop runs tens of thousands of rounds per simulation;
-        // exercise the park/claim handshake hard enough to catch lost wakeups.
-        let out = run_epochs(4, 3, 20_000);
-        assert_eq!(out, run_epochs(1, 3, 20_000));
-    }
-
-    /// Like [`run_epochs`], but the driver stalls between some rounds long enough
-    /// for every worker to walk the full spin → yield → park ladder, so each
-    /// stalled round exercises a genuine Condvar wakeup.
-    fn run_epochs_with_stalls(
-        threads: usize,
-        tasks: usize,
-        rounds: u64,
-        stall_every: u64,
-    ) -> Vec<u64> {
-        let cells: Vec<Mutex<u64>> = (0..tasks).map(|i| Mutex::new(i as u64)).collect();
-        let cells_ref = &cells;
-        epoch_scope(
-            threads,
-            tasks,
-            move |i| {
-                let mut cell = cells_ref[i].lock().unwrap();
-                *cell = cell
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(i as u64);
-            },
-            |scope| {
-                for r in 0..rounds {
-                    if r % stall_every == 0 {
-                        std::thread::sleep(std::time::Duration::from_micros(500));
-                    }
-                    scope.run_epoch();
-                }
-                assert_eq!(scope.rounds_run(), rounds);
-            },
-        );
-        cells.into_iter().map(|c| c.into_inner().unwrap()).collect()
-    }
-
-    #[test]
-    fn parked_workers_wake_for_every_round() {
-        // Bursts of back-to-back rounds separated by driver stalls: workers park
-        // during each stall and must be woken for the next burst. A lost wakeup
-        // hangs the next run_epoch (its done-wait never completes) and fails the
-        // test by timeout.
-        let expect = run_epochs_with_stalls(1, 4, 3_000, 97);
-        for threads in [2, 4, 8] {
-            assert_eq!(
-                run_epochs_with_stalls(threads, 4, 3_000, 97),
-                expect,
-                "threads = {threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn oversubscribed_round_handshake_survives_a_stress_run() {
-        // Many epochs x few tasks x more threads than this container has cores:
-        // the shape the ROADMAP flagged as the risk case for the spin/park
-        // handshake. Stalls are interleaved so both the hot (spin) path and the
-        // cold (park/wake) path run tens of thousands of times.
-        let expect = run_epochs(1, 2, 40_000);
-        assert_eq!(run_epochs(2, 2, 40_000), expect);
-        let expect = run_epochs_with_stalls(1, 3, 10_000, 211);
-        assert_eq!(run_epochs_with_stalls(3, 3, 10_000, 211), expect);
-    }
-
     #[test]
     fn single_task_runs_inline() {
-        epoch_scope(
-            8,
-            1,
-            |i| assert_eq!(i, 0),
-            |scope| {
-                assert!(!scope.is_parallel());
-                assert_eq!(scope.tasks(), 1);
-                scope.run_epoch();
-            },
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "epoch boom")]
-    fn epoch_worker_panic_propagates() {
-        let counter = AtomicU64::new(0);
-        let counter_ref = &counter;
-        epoch_scope(
-            4,
-            8,
-            move |i| {
-                if i == 5 && counter_ref.load(Ordering::Relaxed) >= 3 {
-                    panic!("epoch boom");
-                }
-            },
-            |scope| loop {
-                counter_ref.fetch_add(1, Ordering::Relaxed);
-                scope.run_epoch();
-            },
-        );
-    }
-
-    #[test]
-    fn contained_panic_leaves_the_pool_usable() {
-        // One poisoned round among many: try_run_epoch reports it, every other
-        // round (before and after) completes normally on the same pool, and the
-        // non-panicking tasks of the poisoned round still run.
-        for threads in [1usize, 2, 4] {
-            let hits: Vec<AtomicU64> = (0..6).map(|_| AtomicU64::new(0)).collect();
-            let round = AtomicU64::new(0);
-            let hits_ref = &hits;
-            let round_ref = &round;
-            epoch_scope(
-                threads,
-                6,
-                move |i| {
-                    if i == 3 && round_ref.load(Ordering::Relaxed) == 5 {
-                        panic!("contained boom");
-                    }
-                    hits_ref[i].fetch_add(1, Ordering::Relaxed);
-                },
-                |scope| {
-                    for r in 0..10u64 {
-                        round_ref.store(r, Ordering::Relaxed);
-                        let result = scope.try_run_epoch();
-                        if r == 5 {
-                            let panic = result.expect_err("round 5 must report the panic");
-                            assert_eq!(panic.failed_tasks(), 1);
-                            assert_eq!(panic.messages(), vec!["contained boom".to_string()]);
-                        } else {
-                            result.expect("clean rounds must succeed");
-                        }
-                    }
-                    assert_eq!(scope.rounds_run(), 10);
-                },
-            );
-            for (i, h) in hits.iter().enumerate() {
-                let expect = if i == 3 { 9 } else { 10 };
-                assert_eq!(
-                    h.load(Ordering::Relaxed),
-                    expect,
-                    "task {i} at {threads} threads"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn contained_panics_collect_every_payload() {
-        let panic = epoch_scope(
-            4,
-            8,
-            |i| {
-                if i % 2 == 0 {
-                    panic!("boom {i}");
-                }
-            },
-            |scope| scope.try_run_epoch().expect_err("half the tasks panic"),
-        );
-        assert_eq!(panic.failed_tasks(), 4);
-        let mut messages = panic.messages();
-        messages.sort();
-        assert_eq!(messages, vec!["boom 0", "boom 2", "boom 4", "boom 6"]);
+        // One item never spawns a worker, whatever the requested thread count:
+        // the closure runs on the caller's thread.
+        let caller = std::thread::current().id();
+        let out = par_map_with(8, &[0u32], |&x| {
+            assert_eq!(std::thread::current().id(), caller);
+            x + 1
+        });
+        assert_eq!(out, vec![1]);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!
 //! * per-bank row-buffer management with open-page, closed-page, or open-page with a
 //!   maximum row-open time (the ExPress tMRO knob swept in Figure 3) — [`config`];
-//! * a self-contained per-channel unit of concurrency carrying banks, refresh, the
+//! * a self-contained per-channel unit of simulated state carrying banks, refresh, the
 //!   data bus, per-channel statistics and the channel's slice of defense/tracker
 //!   state — [`shard`];
 //! * a thin routing layer that decodes addresses, forwards each request to its

@@ -5,10 +5,10 @@
 //! [`BankMitigationEngine`]), the refresh scheduler, the shared data bus, the
 //! tFAW-derived activation spacing state, and per-channel [`ChannelStats`] — behind
 //! one `access` entry point. Shards of one controller share no mutable state, which
-//! makes the channel the natural unit of concurrency: `impress_sim`'s epoch-phased
-//! run loop executes the shards of a multi-channel system on different workers and
-//! still produces bit-for-bit the same result as a serial run, because each shard
-//! sees exactly the same request sequence either way.
+//! makes the channel the natural unit of simulated state: `impress_sim`'s
+//! epoch-phased run loop batches each shard's requests per epoch and still produces
+//! bit-for-bit the same result as a serial run, because each shard sees exactly the
+//! same request sequence either way.
 //!
 //! [`crate::MemoryController`] is a thin router over a `Vec<ChannelShard>`; all the
 //! DRAM state-machine logic lives here.
@@ -146,12 +146,12 @@ impl BankUnit {
     }
 }
 
-/// One memory channel as an independent unit of concurrency: banks (with their
+/// One memory channel as an independent unit of simulated state: banks (with their
 /// per-bank defense/tracker engines), refresh scheduling, the shared data bus, and
 /// per-channel statistics.
 ///
 /// A shard carries a private copy of the timing/policy parameters it needs, so it can
-/// be moved to a worker thread without borrowing the controller configuration.
+/// outlive the controller it was split from.
 /// Accesses must be presented in the same order a serial controller would see them
 /// (non-decreasing `now` per channel); under that contract the shard's evolution is a
 /// pure function of its request sequence, independent of what other channels do.

@@ -5,8 +5,8 @@
 //!
 //! * a throughput-oriented core model (ROB-limited memory-level parallelism, fixed
 //!   retire rate) — [`core_model`];
-//! * the epoch-phased sharded run loop (issue → execute channel shards in parallel →
-//!   merge), bit-for-bit identical to a serial run at any thread count — [`sharded`];
+//! * the epoch-phased run loop (issue → execute channel shards → merge), one
+//!   thread per run and bit-for-bit identical to a serial run — [`sharded`];
 //! * the shared-LLC substrate with SRRIP replacement — [`llc`];
 //! * the DDR5 memory controller from `impress_memctrl`, including the Row-Press
 //!   defense under test;
@@ -38,7 +38,7 @@ pub use daemon::{supervise, write_checkpoint_durable, Checkpoint, DaemonOptions}
 pub use llc::{Llc, LlcConfig, LlcOutcome};
 pub use metrics::{geometric_mean, PerformanceResult};
 pub use runner::{Configuration, ExperimentRunner, NormalizedResult, SweepOptions, SweepResults};
-pub use sharded::{EpochStats, HorizonMode};
+pub use sharded::EpochStats;
 pub use system::{RunOutput, System};
 pub use tenants::{serve_tenants, MultiReport, TenantReport};
 pub use trace_runner::{

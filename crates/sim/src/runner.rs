@@ -92,9 +92,7 @@ pub struct NormalizedResult {
     pub output: RunOutput,
 }
 
-/// Options shared by every sweep entry point (and by the trace-driven
-/// [`crate::trace_runner::TraceRunner`], which takes its thread knobs from the
-/// same type).
+/// Options shared by every sweep entry point.
 ///
 /// Every field is an override; `None` keeps the corresponding default. All
 /// combinations produce bit-for-bit identical simulation results — these are
@@ -104,9 +102,6 @@ pub struct SweepOptions {
     /// Sweep-level workers executing `(workload, configuration)` cells
     /// (`None`: [`impress_exec::thread_count`], the `IMPRESS_THREADS` knob).
     pub threads: Option<usize>,
-    /// Workers executing channel shards inside each run (`None`: the runner's
-    /// configured value, default 1 — see [`ExperimentRunner::with_shard_threads`]).
-    pub shard_threads: Option<usize>,
     /// Baseline configuration to normalize against (`None`: raw outputs only).
     pub normalization: Option<Configuration>,
 }
@@ -124,18 +119,13 @@ pub struct SweepResults {
 
 /// Runs workloads under configurations and normalizes against a baseline configuration.
 ///
-/// Two independent parallelism axes are available: *sweep-level* (cells of a
-/// `workloads × configurations` grid run on the pool — [`ExperimentRunner::run_sweep`])
-/// and *channel-level* (each individual run executes its channel shards on the epoch
-/// pool — [`ExperimentRunner::with_shard_threads`]). Results are bit-for-bit
-/// identical along both axes at any thread count, so they compose freely; the
-/// default is sweep-level only, which keeps every worker busy without
-/// oversubscribing.
+/// Parallelism is across runs: the cells of a `workloads × configurations` grid run
+/// on the pool ([`ExperimentRunner::run_sweep`]), each on one thread, with results
+/// bit-for-bit identical to a serial sweep at any thread count.
 #[derive(Debug)]
 pub struct ExperimentRunner {
     system: SystemConfig,
     seed: u64,
-    shard_threads: usize,
     baseline_cache: HashMap<String, RunOutput>,
 }
 
@@ -151,7 +141,6 @@ impl ExperimentRunner {
         Self {
             system: SystemConfig::baseline(),
             seed: 0x1A7E_2024,
-            shard_threads: 1,
             baseline_cache: HashMap::new(),
         }
     }
@@ -162,36 +151,15 @@ impl ExperimentRunner {
         self
     }
 
-    /// Executes each individual run's channel shards on up to `threads` workers (the
-    /// epoch-phased loop; clamped to the channel count, `1` = inline).
-    ///
-    /// Outputs are bit-for-bit identical for every value, so this is purely a
-    /// scheduling knob: prefer it over sweep-level parallelism when the sweep has
-    /// fewer cells than the machine has cores (e.g. a single long run of a
-    /// many-channel system).
-    pub fn with_shard_threads(mut self, threads: usize) -> Self {
-        self.shard_threads = threads.max(1);
-        self
-    }
-
     /// Runs `workload` under `configuration` and returns the raw output.
     pub fn run_raw(&self, workload: &str, configuration: &Configuration) -> RunOutput {
-        self.run_raw_with(workload, configuration, self.shard_threads)
-    }
-
-    fn run_raw_with(
-        &self,
-        workload: &str,
-        configuration: &Configuration,
-        shard_threads: usize,
-    ) -> RunOutput {
         let mix = WorkloadMix::by_name(workload, self.seed)
             .unwrap_or_else(|| panic!("unknown workload {workload}"));
         let config = self
             .system
             .clone()
             .with_controller(configuration.controller_config());
-        System::new(config, mix).run_with_threads(shard_threads)
+        System::new(config, mix).run()
     }
 
     /// Runs `workload` under `baseline` (cached) and `configuration`, returning the
@@ -254,16 +222,14 @@ impl ExperimentRunner {
         options: &SweepOptions,
     ) -> SweepResults {
         let threads = options.threads.unwrap_or_else(impress_exec::thread_count);
-        let shard_threads = options.shard_threads.unwrap_or(self.shard_threads);
 
         let raw = run_cells(threads, workloads.len(), configurations.len(), |c, w| {
-            self.run_raw_with(workloads[w], &configurations[c], shard_threads)
+            self.run_raw(workloads[w], &configurations[c])
         });
 
         let normalized = options.normalization.as_ref().map(|baseline| {
-            let baselines: Vec<RunOutput> = par_map_with(threads, workloads, |w| {
-                self.run_raw_with(w, baseline, shard_threads)
-            });
+            let baselines: Vec<RunOutput> =
+                par_map_with(threads, workloads, |w| self.run_raw(w, baseline));
             raw.iter()
                 .enumerate()
                 .map(|(c, row)| {
@@ -327,7 +293,6 @@ impl ExperimentRunner {
             &SweepOptions {
                 threads: Some(threads),
                 normalization: Some(baseline.clone()),
-                ..SweepOptions::default()
             },
         )
         .normalized
@@ -499,7 +464,6 @@ mod tests {
             &configs,
             &SweepOptions {
                 threads: Some(2),
-                shard_threads: Some(2),
                 normalization: Some(base.clone()),
             },
         );

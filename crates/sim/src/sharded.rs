@@ -1,4 +1,4 @@
-//! The epoch-phased shard driver behind [`crate::System::run_with_threads`].
+//! The epoch-phased shard driver behind [`crate::System::run`].
 //!
 //! A run is a sequence of *epochs*, each with three phases:
 //!
@@ -8,98 +8,41 @@
 //!    [`crate::CoreModel::next_issue_bound`]), draw its next access from the
 //!    workload mix, decode the address and append it to the owning channel's queue.
 //!    The global issue order is recorded.
-//! 2. **Execute** — run every channel shard over its queue. Channels share no state,
-//!    and each shard sees its requests in the same order and at the same cycles as a
-//!    serial controller would, so this phase parallelizes freely across the
-//!    `impress-exec` epoch pool ([`impress_exec::epoch_scope`], honoring
-//!    `IMPRESS_THREADS` via [`crate::System::run_sharded`]) — with results that are
-//!    bit-for-bit identical at *any* worker count, including the inline 1-thread
-//!    path.
+//! 2. **Execute** — run every channel shard over its queue, inline and in
+//!    channel order. Channels share no state, and each shard sees its requests in
+//!    the same order and at the same cycles as a serial controller would.
 //! 3. **Merge** — walk the recorded issue order and feed each completion time back to
 //!    its core ([`crate::CoreModel::resolve_pending`]). After the merge every
 //!    completion is resolved, which re-establishes the issue-phase invariant for the
 //!    next epoch.
 //!
-//! How long an epoch's issue window runs is governed by a [`HorizonMode`]:
+//! An epoch's issue window is bounded by the *dependency structure* of the run:
+//! cores keep issuing while their next issue time is provably independent of
+//! every unresolved completion. Front-end-limited cores extend the window freely;
+//! a core whose MLP window fills up with pending issues contributes a horizon
+//! bound at `max(front_end, oldest_pending_issue + L)` — the earliest cycle any of
+//! its pending completions can land, backed by the per-access latency lower bound
+//! [`ChannelShard::min_access_latency`] asserts. Issuing stops once every ready
+//! core's next exact issue time reaches the minimum of those bounds. Streams and
+//! high-MLP mixes batch tens to hundreds of issues per epoch.
 //!
-//! * [`HorizonMode::Fixed`] caps the window at the guaranteed minimum access
-//!   latency ([`ChannelShard::min_access_latency`], `tCAS + tBURST`) past the
-//!   epoch's first issue — the PR 3 loop. No access issued inside such a window
-//!   can complete inside it, so every issue decision is trivially exact; but a run
-//!   degenerates into thousands of tiny fork-join rounds whose barrier cost eats
-//!   the shard parallelism.
-//! * [`HorizonMode::Adaptive`] (the default) bounds the window by the *dependency
-//!   structure* instead: cores keep issuing while their next issue time is provably
-//!   independent of every unresolved completion. Front-end-limited cores extend
-//!   the window freely; a core whose MLP window fills up with pending issues
-//!   contributes a horizon bound at `max(front_end, oldest_pending_issue + L)` —
-//!   the earliest cycle any of its pending completions can land, backed by the
-//!   per-access latency lower bound [`ChannelShard::min_access_latency`] asserts.
-//!   Issuing stops once every ready core's next exact issue time reaches the
-//!   minimum of those bounds. Streams and high-MLP mixes batch tens to hundreds
-//!   of issues per barrier instead of a handful.
-//!
-//! Both modes replay the serial scheduler's issue order and completion-visibility
-//! decisions exactly, so the whole loop is bit-for-bit identical to the pre-shard
-//! serial `System::run` at any `IMPRESS_THREADS` — `tests/sharded_determinism.rs`
-//! pins both modes against a literal transcription of that loop, and
-//! `crates/sim/src/core_model.rs` pins the per-core exactness argument.
-
-use std::sync::Mutex;
+//! The loop replays the serial scheduler's issue order and completion-visibility
+//! decisions exactly, so it is bit-for-bit identical to the pre-shard serial
+//! `System::run` — `tests/sharded_determinism.rs` pins it against a literal
+//! transcription of that loop, and `crates/sim/src/core_model.rs` pins the
+//! per-core exactness argument.
 
 use impress_dram::address::DramAddress;
 use impress_dram::timing::Cycle;
 use impress_memctrl::ChannelShard;
 
-/// How the epoch-phased run loop sizes its issue windows.
-///
-/// Both modes produce bit-for-bit identical simulation output (the issue schedule
-/// is the serial scheduler's either way); they differ only in how many issues are
-/// batched between barriers, i.e. in wall-clock cost. [`HorizonMode::Adaptive`] is
-/// the default; `Fixed` is retained as the reference point `perf_report` and the
-/// determinism suite compare against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum HorizonMode {
-    /// Issue window capped at the guaranteed minimum access latency past the
-    /// epoch's first issue (the PR 3 loop).
-    Fixed,
-    /// Dependency-bounded window: issue until every eligible core's next issue
-    /// time depends on an unresolved completion.
-    #[default]
-    Adaptive,
-}
-
-/// Environment variable selecting the default [`HorizonMode`]
-/// (`fixed`/`adaptive`; anything else falls back to adaptive).
-pub const HORIZON_ENV: &str = "IMPRESS_HORIZON";
-
-impl HorizonMode {
-    /// The mode selected by the `IMPRESS_HORIZON` environment variable
-    /// (default: [`HorizonMode::Adaptive`]).
-    pub fn from_env() -> Self {
-        Self::parse(std::env::var(HORIZON_ENV).ok().as_deref())
-    }
-
-    /// Parsing behind [`HorizonMode::from_env`], split out so tests can cover it
-    /// without mutating process-global environment state (tests in one binary
-    /// run concurrently, and other tests read the variable via `System::run`).
-    fn parse(value: Option<&str>) -> Self {
-        match value {
-            Some(v) if v.trim().eq_ignore_ascii_case("fixed") => HorizonMode::Fixed,
-            _ => HorizonMode::Adaptive,
-        }
-    }
-}
-
 /// Issue-batching statistics of one epoch-phased run.
 ///
-/// These describe the *scheduling* of the run (how much work each fork-join round
-/// amortized), not its simulated outcome: fixed- and adaptive-horizon runs of the
-/// same system produce identical [`crate::RunOutput`] simulation results but very
-/// different `EpochStats`.
+/// These describe the *scheduling* of the run (how many issues each epoch
+/// batched), not its simulated outcome.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EpochStats {
-    /// Fork-join rounds (epochs) the run needed.
+    /// Epochs the run needed.
     pub epochs: u64,
     /// Demand accesses issued (equals the run's total request count).
     pub issues: u64,
@@ -109,7 +52,7 @@ pub struct EpochStats {
 }
 
 impl EpochStats {
-    /// Mean demand accesses issued per epoch barrier.
+    /// Mean demand accesses issued per epoch.
     pub fn mean_issues_per_epoch(&self) -> f64 {
         if self.epochs == 0 {
             0.0
@@ -139,15 +82,16 @@ pub(crate) struct QueuedAccess {
 
 /// A channel shard plus its epoch queue and completion buffer.
 ///
-/// The buffers are swapped with driver-owned vectors around each epoch, so the
-/// steady-state loop performs no allocation.
+/// The driver fills `queue` during the issue phase and reads `completions` in the
+/// merge phase; both are cleared and reused every epoch, so the steady-state
+/// loop performs no allocation.
 #[derive(Debug)]
 pub(crate) struct ShardTask {
     pub shard: ChannelShard,
     pub queue: Vec<QueuedAccess>,
     pub completions: Vec<Cycle>,
     /// The per-access latency lower bound; only used to check the invariant the
-    /// adaptive horizon relies on.
+    /// issue horizon relies on.
     min_latency: Cycle,
 }
 
@@ -175,11 +119,10 @@ impl ShardTask {
             // The per-access lower bound every pending-completion deferral is
             // built on (`ChannelShard::access` asserts the same bound at the
             // source): an access can never complete within `min_latency` of its
-            // issue. Unlike PR 3's fixed windows, an adaptive window may well be
-            // longer than `min_latency` — completions of early accesses can land
-            // *inside* the window — but any core whose next issue could observe
-            // such a completion was deferred at issue time, so the bound below is
-            // exactly what correctness needs.
+            // issue. A window may well be longer than `min_latency` — completions
+            // of early accesses can land *inside* the window — but any core whose
+            // next issue could observe such a completion was deferred at issue
+            // time, so the bound below is exactly what correctness needs.
             debug_assert!(
                 outcome.completed_at >= q.at + *min_latency,
                 "access completed within the minimum access latency: issued {} \
@@ -193,44 +136,9 @@ impl ShardTask {
     }
 }
 
-/// The shard tasks of one run, each behind a `Mutex` so the epoch pool's workers can
-/// claim them dynamically. A task is locked by exactly one thread at a time (the
-/// claim index hands each task to one worker per epoch; the driver only touches
-/// tasks between epochs), so the locks are always uncontended — they exist to make
-/// the sharing safe, not to arbitrate.
-pub(crate) type ShardTasks = Vec<Mutex<ShardTask>>;
-
-pub(crate) fn make_tasks(shards: Vec<ChannelShard>, min_latency: Cycle) -> ShardTasks {
-    shards
-        .into_iter()
-        .map(|shard| Mutex::new(ShardTask::new(shard, min_latency)))
-        .collect()
-}
-
-/// Locks a task; the lock is uncontended by construction (see [`ShardTasks`]).
-///
-/// Poison is cleared rather than propagated: a contained shard-worker panic
-/// (daemon quarantine) poisons the task's mutex, but the driver still needs the
-/// shard for subsequent windows and final statistics.
-pub(crate) fn lock_task(tasks: &ShardTasks, index: usize) -> std::sync::MutexGuard<'_, ShardTask> {
-    tasks[index].lock().unwrap_or_else(|e| e.into_inner())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn horizon_mode_parsing() {
-        // Exercises the parser directly rather than set_var/remove_var: tests in
-        // this binary run concurrently and others read the variable through
-        // `System::run`, so mutating the process environment here would race.
-        assert_eq!(HorizonMode::parse(Some("fixed")), HorizonMode::Fixed);
-        assert_eq!(HorizonMode::parse(Some(" FIXED ")), HorizonMode::Fixed);
-        assert_eq!(HorizonMode::parse(Some("adaptive")), HorizonMode::Adaptive);
-        assert_eq!(HorizonMode::parse(Some("nonsense")), HorizonMode::Adaptive);
-        assert_eq!(HorizonMode::parse(None), HorizonMode::Adaptive);
-    }
 
     #[test]
     fn epoch_stats_means() {

@@ -9,8 +9,8 @@
 //! * Each pipeline consumes exactly the canonical byte stream the transport
 //!   committed for its tenant, through an unchanged [`supervise`] — so a
 //!   tenant's verdict is byte-identical to a solo file ingest of its stream
-//!   (modulo timing-dependent `conn-*` markers) at any shard thread count,
-//!   regardless of what other tenants do.
+//!   (modulo timing-dependent `conn-*` markers), regardless of what other
+//!   tenants do.
 //! * A pipeline failure (decode error, shard quarantine escalation) kills
 //!   only that tenant: the server sees the dead sink, closes the tenant, and
 //!   keeps serving the rest.

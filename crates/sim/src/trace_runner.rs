@@ -7,12 +7,11 @@
 //!   run's core models from the trace header and drives the *identical*
 //!   epoch-phased [`System`] loop with a [`ReplaySource`] instead of the
 //!   synthetic generators. Because per-core access sequences are recorded
-//!   per core and the loop is bit-for-bit deterministic at any shard thread
-//!   count, a replayed run reproduces the recording run's output exactly.
+//!   per core and the loop is bit-for-bit deterministic, a replayed run
+//!   reproduces the recording run's output exactly.
 //! * **Open-loop ingestion** ([`TraceRunner::ingest`]): streams records at
 //!   trace-specified (or default) inter-arrival gaps straight into the channel
-//!   shards — decode, route, execute on the epoch pool, account — with no core
-//!   feedback. This is the high-throughput path for replaying device traces
+//!   shards — decode, route, execute, account — with no core feedback. This is the high-throughput path for replaying device traces
 //!   (rowhammer-tester, DRAMA-style) and emits per-window disturbance and
 //!   mitigation telemetry plus an end-of-run [`VerdictReport`]. It is the
 //!   supervised loop of [`crate::daemon`] run without checkpoints, watchdog
@@ -30,7 +29,7 @@ use impress_workloads::source::{AccessSource, TraceSource, TransportEvent};
 use impress_workloads::MemoryAccess;
 
 use crate::daemon::{ingest_loop, DaemonOptions};
-use crate::runner::{Configuration, SweepOptions};
+use crate::runner::Configuration;
 use crate::system::{RunOutput, System};
 
 /// An [`AccessSource`] that replays recorded per-core access streams.
@@ -91,7 +90,7 @@ impl AccessSource for ReplaySource {
 ///
 /// All counters are deltas over the window (derived from the deterministic
 /// simulation state, never from wall-clock), so telemetry is reproducible and
-/// diffable across runs and thread counts.
+/// diffable across runs and hosts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WindowTelemetry {
     /// Window index (0-based).
@@ -143,7 +142,7 @@ impl WindowTelemetry {
 ///
 /// Entries derive only from stream content and driver-side events, never from
 /// thread scheduling, so a seeded corrupt-ingest run's ledger is byte-identical
-/// across runs and shard thread counts.
+/// across runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LedgerEntry {
     /// A damaged region the resync decoder skipped.
@@ -569,14 +568,9 @@ impl VerdictReport {
 }
 
 /// Drives recorded traces through the simulator.
-///
-/// Shares [`SweepOptions`] with [`crate::runner::ExperimentRunner`]: the
-/// `shard_threads` knob means the same thing in both (workers executing channel
-/// shards inside one run), and both guarantee bit-identical output at any value.
 #[derive(Debug)]
 pub struct TraceRunner {
     system: crate::config::SystemConfig,
-    shard_threads: usize,
     window_records: u64,
     /// Whether ingestion stages tracked events through the bank-batched record
     /// kernels. `None` defers to the `IMPRESS_RECORD_BATCH` environment
@@ -595,26 +589,9 @@ impl TraceRunner {
     pub fn new() -> Self {
         Self {
             system: crate::config::SystemConfig::baseline(),
-            shard_threads: 1,
             window_records: 1 << 20,
             record_batch: None,
         }
-    }
-
-    /// Creates a runner taking its thread knobs from shared [`SweepOptions`].
-    pub fn from_options(options: &SweepOptions) -> Self {
-        let mut runner = Self::new();
-        if let Some(threads) = options.shard_threads {
-            runner.shard_threads = threads.max(1);
-        }
-        runner
-    }
-
-    /// Executes each run's channel shards on up to `threads` workers (bit-identical
-    /// output for every value; `1` executes inline).
-    pub fn with_shard_threads(mut self, threads: usize) -> Self {
-        self.shard_threads = threads.max(1);
-        self
     }
 
     /// Sets the telemetry window size for [`TraceRunner::ingest`] (in records).
@@ -634,7 +611,7 @@ impl TraceRunner {
 
     /// Closed-loop replay: reruns the recorded stream through the full system
     /// model (core pacing, MLP limits, feedback), reproducing the recording
-    /// run bit-for-bit at any shard thread count.
+    /// run bit-for-bit.
     ///
     /// # Panics
     ///
@@ -652,18 +629,18 @@ impl TraceRunner {
         config.cores = meta.cores as usize;
         config.requests_per_core = quota;
         config = config.with_controller(configuration.controller_config());
-        System::new(config, source).run_with_threads(self.shard_threads)
+        System::new(config, source).run()
     }
 
     /// Open-loop ingestion: decode → route → execute → account, with no core
     /// feedback. This is the [`supervise`](crate::daemon::supervise) loop with
     /// no checkpoints, no watchdog and no resume; records advance simulated
     /// time by their recorded gaps and execute on the channel shards in
-    /// codec-frame-sized rounds of the epoch pool.
+    /// codec-frame-sized rounds.
     ///
-    /// Deterministic for any `shard_threads`: routing is a pure function of the
-    /// stream, and shards share no state. A shard panic is contained and
-    /// ledgered as a quarantined window, as in the daemon.
+    /// Deterministic: routing is a pure function of the stream, and shards
+    /// share no state. A shard panic is contained and ledgered as a quarantined
+    /// window, as in the daemon.
     ///
     /// # Errors
     ///
@@ -676,7 +653,6 @@ impl TraceRunner {
         let options = DaemonOptions {
             window_records: self.window_records,
             checkpoint_every: 0,
-            shard_threads: self.shard_threads,
             record_batch: self.record_batch,
             ..DaemonOptions::default()
         };
@@ -687,6 +663,7 @@ impl TraceRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use impress_memctrl::MemoryController;
     use impress_workloads::codec::TraceWriter;
     use impress_workloads::source::SliceSource;
     use impress_workloads::WorkloadMix;
@@ -727,26 +704,20 @@ mod tests {
         let mix = WorkloadMix::by_name("mcf", 3).unwrap();
         let reference = System::new(config, mix).run();
 
-        for threads in [1usize, 2, 4] {
-            let replayed = TraceRunner::new().with_shard_threads(threads).replay(
-                &meta,
-                &records,
-                &configuration,
-            );
-            assert_eq!(
-                replayed.performance.elapsed_cycles, reference.performance.elapsed_cycles,
-                "threads = {threads}"
-            );
-            assert_eq!(
-                replayed.performance.per_core_ipc,
-                reference.performance.per_core_ipc
-            );
-            assert_eq!(replayed.memory, reference.memory);
-            assert_eq!(
-                VerdictReport::from_run(&replayed, &configuration),
-                VerdictReport::from_run(&reference, &configuration)
-            );
-        }
+        let replayed = TraceRunner::new().replay(&meta, &records, &configuration);
+        assert_eq!(
+            replayed.performance.elapsed_cycles,
+            reference.performance.elapsed_cycles
+        );
+        assert_eq!(
+            replayed.performance.per_core_ipc,
+            reference.performance.per_core_ipc
+        );
+        assert_eq!(replayed.memory, reference.memory);
+        assert_eq!(
+            VerdictReport::from_run(&replayed, &configuration),
+            VerdictReport::from_run(&reference, &configuration)
+        );
     }
 
     #[test]
@@ -760,26 +731,35 @@ mod tests {
         w.finish().unwrap();
         let configuration = Configuration::unprotected();
 
-        let run = |threads: usize| {
+        let run = || {
             let reader = TraceReader::new(SliceSource::new(&bytes)).unwrap();
             TraceRunner::new()
-                .with_shard_threads(threads)
                 .with_window_records(1_000)
                 .ingest(reader, &configuration)
                 .unwrap()
         };
-        let reference = run(1);
+        let reference = run();
         assert_eq!(reference.records, records.len() as u64);
         assert_eq!(reference.memory.requests, records.len() as u64);
         assert!(!reference.windows.is_empty());
         let window_total: u64 = reference.windows.iter().map(|w| w.records).sum();
         assert_eq!(window_total, reference.records);
-        for threads in [2usize, 4] {
-            let out = run(threads);
-            assert_eq!(out.memory, reference.memory, "threads = {threads}");
-            assert_eq!(out.windows, reference.windows);
-            assert_eq!(out.verdict, reference.verdict);
+        // Oracle: every record through one whole controller, one access at a
+        // time, at the cycle the gapless trace gives it.
+        let mut controller = MemoryController::new(configuration.controller_config());
+        let mut now: Cycle = 0;
+        for r in &records {
+            now += crate::daemon::DEFAULT_GAP as Cycle;
+            let access = r.to_access();
+            controller
+                .access_physical(access.address, access.is_write, now)
+                .unwrap();
         }
+        assert_eq!(reference.memory, controller.stats());
+        let out = run();
+        assert_eq!(out.memory, reference.memory);
+        assert_eq!(out.windows, reference.windows);
+        assert_eq!(out.verdict, reference.verdict);
     }
 
     #[test]
@@ -799,26 +779,19 @@ mod tests {
                 DefenseKind::impress_p_default(),
             ),
         );
-        let run = |threads: usize, batched: bool| {
+        let run = |batched: bool| {
             let reader = TraceReader::new(SliceSource::new(&bytes)).unwrap();
             TraceRunner::new()
-                .with_shard_threads(threads)
                 .with_window_records(1_000)
                 .with_record_batching(batched)
                 .ingest(reader, &protected)
                 .unwrap()
         };
-        for threads in [1usize, 2, 4] {
-            let per = run(threads, false);
-            let bat = run(threads, true);
-            assert_eq!(
-                bat.verdict.to_json(),
-                per.verdict.to_json(),
-                "threads = {threads}"
-            );
-            assert_eq!(bat.windows, per.windows, "threads = {threads}");
-            assert_eq!(bat.memory, per.memory, "threads = {threads}");
-        }
+        let per = run(false);
+        let bat = run(true);
+        assert_eq!(bat.verdict.to_json(), per.verdict.to_json());
+        assert_eq!(bat.windows, per.windows);
+        assert_eq!(bat.memory, per.memory);
     }
 
     #[test]

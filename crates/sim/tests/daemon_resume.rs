@@ -70,7 +70,6 @@ fn opts(resume_from: Option<Checkpoint>) -> DaemonOptions {
     DaemonOptions {
         window_records: 10_000,
         checkpoint_every: 20_000,
-        shard_threads: 2,
         resume_from,
         ..DaemonOptions::default()
     }

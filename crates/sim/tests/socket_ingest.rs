@@ -2,8 +2,8 @@
 //! byte-identical to file ingest.
 //!
 //! The networked ingestion contract: delivering the same recorded trace over
-//! TCP or a Unix-domain socket — at any shard thread count, across daemon
-//! crashes and client reconnects — yields the same verdict JSON as reading
+//! TCP or a Unix-domain socket — across daemon crashes and client
+//! reconnects — yields the same verdict JSON as reading
 //! the file directly, modulo the ledgered `resume`/`conn-*` marker lines the
 //! transport records. These tests run the real `TenantServer` accept loop,
 //! admitting one producer (`max_clients = 1`), under `serve_tenants` against
@@ -47,11 +47,10 @@ fn sample_trace() -> Vec<u8> {
     w.finish().unwrap()
 }
 
-fn opts(shard_threads: usize, resume_from: Option<Checkpoint>) -> DaemonOptions {
+fn opts(resume_from: Option<Checkpoint>) -> DaemonOptions {
     DaemonOptions {
         window_records: 10_000,
         checkpoint_every: 20_000,
-        shard_threads,
         resume_from,
         resync: true,
         ..DaemonOptions::default()
@@ -124,7 +123,6 @@ fn stop_flag() -> &'static AtomicBool {
 /// own thread, publishing checkpoints to `checkpoint` if given.
 fn spawn_daemon(
     endpoint: &Endpoint,
-    shard_threads: usize,
     resume_from: Option<Checkpoint>,
     idle: Duration,
     drain: &'static AtomicBool,
@@ -138,7 +136,7 @@ fn spawn_daemon(
         tenant_one(serve_tenants(
             &mut server,
             &configuration,
-            &opts(shard_threads, resume_from),
+            &opts(resume_from),
             checkpoint.as_deref(),
         ))
     });
@@ -163,29 +161,26 @@ fn tcp_and_unix_verdicts_match_file_ingest_at_every_thread_count() {
     let baseline = supervise(
         SliceSource::new(&bytes),
         &configuration,
-        &opts(1, None),
+        &opts(None),
         &mut |_| Ok(()),
     )
     .unwrap()
     .verdict
     .to_json_extended();
 
-    for threads in [1usize, 2, 4] {
-        let unix = Endpoint::Unix(unix_path(&format!("det{threads}")));
-        for endpoint in [Endpoint::Tcp("127.0.0.1:0".to_string()), unix] {
-            let stop = stop_flag();
-            let (bound, daemon) =
-                spawn_daemon(&endpoint, threads, None, Duration::from_secs(5), stop, None);
-            send_all(&bound, &bytes, Duration::from_secs(5));
-            stop.store(true, Ordering::SeqCst);
-            let report = daemon.join().expect("daemon must not panic");
-            let verdict = report.unwrap().verdict.to_json_extended();
-            assert_eq!(
-                modulo_markers(&verdict),
-                modulo_markers(&baseline),
-                "verdict diverged over {endpoint} at {threads} shard threads"
-            );
-        }
+    let unix = Endpoint::Unix(unix_path("det"));
+    for endpoint in [Endpoint::Tcp("127.0.0.1:0".to_string()), unix] {
+        let stop = stop_flag();
+        let (bound, daemon) = spawn_daemon(&endpoint, None, Duration::from_secs(5), stop, None);
+        send_all(&bound, &bytes, Duration::from_secs(5));
+        stop.store(true, Ordering::SeqCst);
+        let report = daemon.join().expect("daemon must not panic");
+        let verdict = report.unwrap().verdict.to_json_extended();
+        assert_eq!(
+            modulo_markers(&verdict),
+            modulo_markers(&baseline),
+            "verdict diverged over {endpoint}"
+        );
     }
 }
 
@@ -260,7 +255,7 @@ fn kill_daemon_mid_stream_then_reconnect_resumes_from_every_checkpoint() {
     let baseline = supervise(
         SliceSource::new(&bytes),
         &configuration,
-        &opts(2, None),
+        &opts(None),
         &mut |cp| {
             checkpoints.push(*cp);
             Ok(())
@@ -278,7 +273,6 @@ fn kill_daemon_mid_stream_then_reconnect_resumes_from_every_checkpoint() {
     let stop = stop_flag();
     let (bound, daemon) = spawn_daemon(
         &endpoint,
-        2,
         None,
         Duration::from_secs(5),
         stop,
@@ -316,7 +310,7 @@ fn kill_daemon_mid_stream_then_reconnect_resumes_from_every_checkpoint() {
         assert!(crashed.is_err(), "the cut source must kill the first run");
 
         let stop = stop_flag();
-        let (_, daemon) = spawn_daemon(&endpoint, 2, Some(cp), Duration::from_secs(5), stop, None);
+        let (_, daemon) = spawn_daemon(&endpoint, Some(cp), Duration::from_secs(5), stop, None);
         client.join().expect("client must not panic");
         stop.store(true, Ordering::SeqCst);
         let report = daemon.join().expect("resumed daemon must not panic");
@@ -341,7 +335,7 @@ fn graceful_drain_publishes_goodbye_and_conn_drain_marker() {
     DRAIN.store(false, Ordering::SeqCst);
 
     let endpoint = Endpoint::Unix(unix_path("drain"));
-    let (bound, daemon) = spawn_daemon(&endpoint, 1, None, Duration::from_secs(10), &DRAIN, None);
+    let (bound, daemon) = spawn_daemon(&endpoint, None, Duration::from_secs(10), &DRAIN, None);
 
     // Follow mode: the client delivers everything but never FINs, so the
     // session is still open when the drain lands.
@@ -381,7 +375,7 @@ fn graceful_drain_publishes_goodbye_and_conn_drain_marker() {
     let baseline = supervise(
         SliceSource::new(&bytes),
         &configuration,
-        &opts(1, None),
+        &opts(None),
         &mut |_| Ok(()),
     )
     .unwrap()
@@ -417,7 +411,7 @@ fn strict_mode_decode_errors_over_sockets_report_offset_and_frame() {
         let configuration = Configuration::unprotected();
         let strict = DaemonOptions {
             resync: false,
-            ..opts(1, None)
+            ..opts(None)
         };
         tenant_one(serve_tenants(&mut server, &configuration, &strict, None))
             .expect_err("corruption must fail a strict decode over the socket")

@@ -1357,6 +1357,7 @@ mod tests {
         send_stream, Endpoint, Listener, MemInput, SendOptions, SocketTuning, TenantLimits,
         TenantServer, WireLink,
     };
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::thread;
     use std::time::Duration;
 
@@ -1369,8 +1370,11 @@ mod tests {
     }
 
     /// Spawns a loopback TCP server draining every canonical byte, returning
-    /// the bound endpoint and the collector handle.
-    fn byte_server(idle: Duration) -> (Endpoint, thread::JoinHandle<Vec<u8>>) {
+    /// the bound endpoint, the server's drain flag and the collector handle.
+    /// Raising the flag once the producer's FIN is acked ends the server at
+    /// once; left down, the server ends after `idle` without traffic.
+    fn byte_server(idle: Duration) -> (Endpoint, &'static AtomicBool, thread::JoinHandle<Vec<u8>>) {
+        let drain: &'static AtomicBool = Box::leak(Box::new(AtomicBool::new(false)));
         let listener = Listener::bind(&Endpoint::Tcp("127.0.0.1:0".to_string())).unwrap();
         let endpoint = listener.local_endpoint().unwrap();
         let policy = crate::source::FollowPolicy {
@@ -1388,12 +1392,13 @@ mod tests {
         .with_tuning(SocketTuning {
             ack_every: 1024,
             ..SocketTuning::default()
-        });
+        })
+        .with_drain_flag(drain);
         let handle = thread::spawn(move || {
             let mut sink = serve_until_done(server, TestSink::default());
             sink.data.remove(&1).unwrap_or_default()
         });
-        (endpoint, handle)
+        (endpoint, drain, handle)
     }
 
     #[test]
@@ -1458,7 +1463,7 @@ mod tests {
         for seed in [3u64, 11, 19, 42] {
             let plan = ConnFaultPlan::seeded(seed, payload.len() as u64);
             let state = ConnFaultState::shared(&plan);
-            let (endpoint, server) = byte_server(Duration::from_secs(2));
+            let (endpoint, drain, server) = byte_server(Duration::from_secs(2));
             let dial_state = Arc::clone(&state);
             let mut input = MemInput::new(payload.clone());
             let options = SendOptions {
@@ -1475,6 +1480,7 @@ mod tests {
                 &options,
             )
             .unwrap_or_else(|e| panic!("seed {seed}: retrying client must deliver: {e}"));
+            drain.store(true, Ordering::SeqCst);
             let delivered = server.join().unwrap();
             assert_eq!(
                 delivered, payload,
@@ -1514,7 +1520,7 @@ mod tests {
         ];
         for plan in plans {
             let state = ConnFaultState::shared(&plan);
-            let (endpoint, server) = byte_server(Duration::from_millis(300));
+            let (endpoint, _, server) = byte_server(Duration::from_millis(300));
             let mut input = MemInput::new(payload.clone());
             let options = SendOptions {
                 policy: fast_policy(),
@@ -1555,7 +1561,7 @@ mod tests {
             ],
         };
         let state = ConnFaultState::shared(&plan);
-        let (endpoint, server) = byte_server(Duration::from_secs(2));
+        let (endpoint, drain, server) = byte_server(Duration::from_secs(2));
         let mut input = MemInput::new(payload.clone());
         let options = SendOptions {
             policy: fast_policy(),
@@ -1572,6 +1578,7 @@ mod tests {
             &options,
         )
         .unwrap();
+        drain.store(true, Ordering::SeqCst);
         assert_eq!(server.join().unwrap(), payload);
         assert_eq!(outcome.sessions, 1, "no cut means no reconnect");
         assert!(outcome.complete);

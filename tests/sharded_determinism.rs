@@ -1,31 +1,22 @@
-//! End-to-end determinism gate for the epoch-phased sharded run loop, mirroring
+//! End-to-end determinism gate for the epoch-phased run loop, mirroring
 //! `tests/parallel_determinism.rs` (which gates the *sweep-level* axis).
 //!
-//! Three properties are pinned:
-//!
-//! 1. **Serial fidelity** — `System::run` (the epoch-phased loop) is bit-for-bit
-//!    identical to the pre-shard serial loop: one `while` over the global
-//!    minimum-issue-time core, one `MemoryController::access_physical` call per
-//!    request. The reference below is a literal transcription of that loop built
-//!    from the same public pieces (`CoreModel`, `WorkloadMix`, `MemoryController`).
-//! 2. **Thread-count invariance** — `System::run_with_threads(n)` produces identical
-//!    output for every `n`, including configurations where shards carry
-//!    defense/tracker state and the system has more channels than the baseline.
-//! 3. **Horizon-mode invariance** — the adaptive (dependency-bounded) issue window
-//!    and the fixed (minimum-access-latency) window replay the same serial issue
-//!    schedule, so `run_with_horizon` output is identical across both modes and
-//!    every thread count — pinned both on named configurations and on a seeded
-//!    randomized sweep over workload mixes × channel counts × protection ×
-//!    thread counts.
+//! The property pinned is **serial fidelity**: `System::run` (the epoch-phased
+//! loop with its dependency-bounded issue window) is bit-for-bit identical to the
+//! pre-shard serial loop — one `while` over the global minimum-issue-time core,
+//! one `MemoryController::access_physical` call per request. The reference below
+//! is a literal transcription of that loop built from the same public pieces
+//! (`CoreModel`, `WorkloadMix`, `MemoryController`). It is checked on named
+//! configurations (including shards carrying defense/tracker state and more
+//! channels than the baseline), on a seeded randomized sweep over workload mixes ×
+//! channel counts × protection, and on every cell of a parallel sweep.
 
 use impress_repro::core::config::{DefenseKind, ProtectionConfig, TrackerChoice};
 use impress_repro::dram::energy::EnergyModel;
 use impress_repro::dram::organization::DramOrganization;
 use impress_repro::dram::stats::ChannelStats;
 use impress_repro::memctrl::{ControllerConfig, MemoryController};
-use impress_repro::sim::{
-    Configuration, CoreModel, ExperimentRunner, HorizonMode, System, SystemConfig,
-};
+use impress_repro::sim::{Configuration, CoreModel, ExperimentRunner, System, SystemConfig};
 use impress_repro::workloads::WorkloadMix;
 
 /// What a run observably produces; everything compared bit-for-bit.
@@ -157,25 +148,19 @@ fn epoch_phased_run_reproduces_the_serial_reference_exactly() {
             let mix = || WorkloadMix::by_name(workload, 11).unwrap();
             let cfg = || system_config(controller.clone(), 1_500);
             let reference = reference_serial_run(cfg(), mix());
-            for mode in [HorizonMode::Fixed, HorizonMode::Adaptive] {
-                for threads in [1usize, 2, 4, 8] {
-                    let out = System::new(cfg(), mix()).run_with_horizon(threads, mode);
-                    assert_eq!(
-                        Observed::of(&out),
-                        reference,
-                        "{label}/{workload} diverged from the serial reference at \
-                         {threads} shard threads in {mode:?} horizon mode"
-                    );
-                }
-            }
+            let out = System::new(cfg(), mix()).run();
+            assert_eq!(
+                Observed::of(&out),
+                reference,
+                "{label}/{workload} diverged from the serial reference"
+            );
         }
     }
 }
 
-/// Seeded randomized sweep of the third property: for random (workload, channel
-/// count, protection, request quota) draws, the adaptive-horizon loop, the
-/// fixed-window loop and the literal serial transcription agree bit-for-bit at
-/// 1/2/4/8 shard threads. The vendored `proptest` stand-in pins each property at
+/// Seeded randomized sweep: for random (workload, channel count, protection,
+/// request quota) draws, the epoch-phased loop and the literal serial
+/// transcription agree bit-for-bit. The vendored `proptest` stand-in pins each property at
 /// 256 cases — far too many full-system runs — so this drives the same
 /// generate-and-check shape from an explicit deterministic RNG.
 #[test]
@@ -219,67 +204,50 @@ fn random_mixes_agree_across_serial_fixed_and_adaptive_horizons() {
         let mix = || WorkloadMix::by_name(workload, seed).unwrap();
         let cfg = || system_config(controller.clone(), requests);
         let reference = reference_serial_run(cfg(), mix());
-        for mode in [HorizonMode::Fixed, HorizonMode::Adaptive] {
-            for threads in [1usize, 2, 4, 8] {
-                let out = System::new(cfg(), mix()).run_with_horizon(threads, mode);
-                assert_eq!(
-                    Observed::of(&out),
-                    reference,
-                    "{label} diverged at {threads} threads in {mode:?} mode"
-                );
-            }
-        }
+        let out = System::new(cfg(), mix()).run();
+        assert_eq!(Observed::of(&out), reference, "{label} diverged");
     }
 }
 
 #[test]
-fn run_sharded_honors_impress_threads_and_stays_identical() {
-    // Whatever IMPRESS_THREADS resolves to on this host, the default sharded entry
-    // point must agree with the inline serial path.
+fn run_ignores_impress_threads_and_matches_the_serial_reference() {
+    // Whatever IMPRESS_THREADS resolves to on this host, a run stays on one
+    // thread and agrees with the serial reference.
     let controller = ControllerConfig::baseline().with_protection(ProtectionConfig::paper_default(
         TrackerChoice::Para,
         DefenseKind::impress_p_default(),
     ));
     let mix = || WorkloadMix::by_name("add_triad", 3).unwrap();
     let cfg = || system_config(controller.clone(), 1_200);
-    let serial = System::new(cfg(), mix()).run_with_threads(1);
-    let sharded = System::new(cfg(), mix()).run_sharded();
-    assert_eq!(Observed::of(&serial), Observed::of(&sharded));
+    let out = System::new(cfg(), mix()).run();
+    assert_eq!(Observed::of(&out), reference_serial_run(cfg(), mix()));
 }
 
 #[test]
-fn sweep_results_are_invariant_to_shard_threads() {
-    // The two parallelism axes compose: a sweep with per-run shard execution enabled
-    // is bit-identical to the plain sweep.
-    let baseline = Configuration::unprotected();
+fn parallel_sweep_cells_match_the_serial_reference() {
+    // Sweep-level parallelism composes with the epoch-phased loop: every cell
+    // of a parallel sweep is the serial transcription of its run.
     let configs = vec![Configuration::protected(
         "Graphene+ImPress-P",
         ProtectionConfig::paper_default(TrackerChoice::Graphene, DefenseKind::impress_p_default()),
     )];
     let workloads = ["mcf", "triad"];
-
-    let plain = ExperimentRunner::new()
+    let results = ExperimentRunner::new()
         .with_requests_per_core(1_000)
-        .run_sweep_with_threads(2, &workloads, &baseline, &configs);
-    let sharded = ExperimentRunner::new()
-        .with_requests_per_core(1_000)
-        .with_shard_threads(4)
-        .run_sweep_with_threads(2, &workloads, &baseline, &configs);
+        .run_sweep_with_threads(2, &workloads, &Configuration::unprotected(), &configs);
 
-    for (pc, sc) in plain.iter().zip(&sharded) {
-        for (p, s) in pc.iter().zip(sc) {
-            assert_eq!(p.workload, s.workload);
+    for (config, row) in configs.iter().zip(&results) {
+        for (workload, cell) in workloads.iter().zip(row) {
+            assert_eq!(cell.workload, *workload);
+            // `ExperimentRunner`'s built-in workload seed.
+            let mix = WorkloadMix::by_name(workload, 0x1A7E_2024).unwrap();
+            let cfg = system_config(config.controller_config(), 1_000);
             assert_eq!(
-                p.normalized_performance.to_bits(),
-                s.normalized_performance.to_bits(),
-                "{}/{} changed under shard threads",
-                p.configuration,
-                p.workload
-            );
-            assert_eq!(p.output.memory, s.output.memory);
-            assert_eq!(
-                p.output.performance.elapsed_cycles,
-                s.output.performance.elapsed_cycles
+                Observed::of(&cell.output),
+                reference_serial_run(cfg, mix),
+                "{}/{} diverged from the serial reference",
+                cell.configuration,
+                cell.workload
             );
         }
     }

@@ -1,6 +1,6 @@
-//! End-to-end gate for the PR 6 trace frontend: a recorded physical-address
-//! stream, pushed through the binary codec and replayed by [`TraceRunner`],
-//! must reproduce the in-process sharded run bit for bit at every thread count.
+//! End-to-end gate for the trace frontend: a recorded physical-address stream,
+//! pushed through the binary codec and replayed by [`TraceRunner`], must
+//! reproduce the in-process run bit for bit.
 //!
 //! Three properties are pinned:
 //!
@@ -10,7 +10,7 @@
 //! 2. **Replay fidelity** — the closed-loop replay of the recording equals the
 //!    in-process `System::run` of the same seeded workload under the same
 //!    protected configuration: elapsed cycles, per-core IPC (to the bit),
-//!    memory-system stats and energy all match, at 1, 2 and 4 shard threads.
+//!    memory-system stats and energy all match.
 //! 3. **Verdict stability** — the canonical verdict JSON derived from the
 //!    replay equals the one derived from the in-process run, so the CI smoke
 //!    job can gate on a plain `diff`.
@@ -124,19 +124,12 @@ fn replay_matches_the_in_process_run_at_every_thread_count() {
 
     let reference = reference_run(workload, &configuration);
     let reference_verdict = VerdictReport::from_run(&reference, &configuration).to_json();
-    for shard_threads in [1usize, 2, 4] {
-        let output = TraceRunner::new().with_shard_threads(shard_threads).replay(
-            &meta,
-            &records,
-            &configuration,
-        );
-        assert_runs_identical(&reference, &output);
-        assert_eq!(
-            VerdictReport::from_run(&output, &configuration).to_json(),
-            reference_verdict,
-            "verdict diverged at {shard_threads} shard threads"
-        );
-    }
+    let output = TraceRunner::new().replay(&meta, &records, &configuration);
+    assert_runs_identical(&reference, &output);
+    assert_eq!(
+        VerdictReport::from_run(&output, &configuration).to_json(),
+        reference_verdict
+    );
 }
 
 #[test]
@@ -144,9 +137,7 @@ fn unprotected_replay_also_reproduces_its_run() {
     let configuration = Configuration::unprotected();
     let (meta, records) = record("copy", REQUESTS_PER_CORE);
     let reference = reference_run("copy", &configuration);
-    let output = TraceRunner::new()
-        .with_shard_threads(2)
-        .replay(&meta, &records, &configuration);
+    let output = TraceRunner::new().replay(&meta, &records, &configuration);
     assert_runs_identical(&reference, &output);
     let verdict = VerdictReport::from_run(&output, &configuration);
     assert_eq!(verdict.verdict, "unprotected");

@@ -105,10 +105,10 @@ fn every_defense_tracker_combination_constructs() {
 }
 
 /// Cross-crate contract for the sharded simulation core: a DefenseKind×TrackerChoice
-/// sweep executed through the epoch-phased run loop with more than one shard thread
-/// must be bit-identical to the plain (inline) sweep. Under the CI race-check jobs
-/// this whole suite also runs with `IMPRESS_THREADS=4`, which routes the
-/// `run_sweep`/`run_sharded` defaults through the same pool.
+/// sweep executed through the epoch-phased run loop on more than one sweep worker
+/// must be bit-identical to the serial sweep. Under the CI race-check jobs this
+/// whole suite also runs with `IMPRESS_THREADS=4`, which routes the `run_sweep`
+/// default through the same pool.
 #[test]
 fn defense_tracker_sweep_runs_through_the_epoch_phased_loop() {
     let threads = impress_repro::exec::thread_count().max(2);
@@ -128,7 +128,6 @@ fn defense_tracker_sweep_runs_through_the_epoch_phased_loop() {
         .run_sweep_with_threads(1, &["gcc"], &baseline, &configurations);
     let epoch_phased = ExperimentRunner::new()
         .with_requests_per_core(500)
-        .with_shard_threads(threads)
         .run_sweep_with_threads(threads, &["gcc"], &baseline, &configurations);
 
     assert_eq!(plain.len(), ALL_TRACKERS.len());
